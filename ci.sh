@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# pin <label> <expected text> <output>: fails unless a run's output
+# carries its committed quick-scale digest. The binaries already check
+# that a run agrees with itself across threads and reruns; a pin also
+# catches a change that shifts the books consistently everywhere.
+pin() {
+    if ! grep -qF -- "$2" <<<"$3"; then
+        echo "ci.sh: $1 drifted: expected '$2' in its output" >&2
+        exit 1
+    fi
+}
+
 echo "== tier-1: release build =="
 cargo build --release
 
@@ -57,7 +68,9 @@ REGION_SANITIZE=1 ./target/release/chaos --quick --scenario kill-restore >/dev/n
 echo "== parallel region pool smoke (digest + audit, sanitize on) =="
 # Also covers the shared-space shard mode: four logical shards of one
 # address space at 1/2/N threads must land on one digest.
-REGION_SANITIZE=1 BENCH_WORKERS="${BENCH_WORKERS:-4}" ./target/release/par_regions --quick >/dev/null
+out=$(REGION_SANITIZE=1 BENCH_WORKERS="${BENCH_WORKERS:-4}" ./target/release/par_regions --quick)
+pin par_regions "digest 471f331a38ddbab5;" "$out"
+pin "par_regions shared" "digest c1ba0be64bacbe0d identical" "$out"
 
 echo "== shard parity suite (W=1 bit-parity + canonical merge), sanitize on =="
 # A runtime on the single shard of a one-worker SharedSpace must be
@@ -85,16 +98,18 @@ echo "== par-chaos: contained worker faults, quarantine + reap, sanitize on =="
 # Phase 2 reruns the panic chaos on one shared address space: abandoned
 # shard runtimes sanitize clean, the mirror audit passes, and every
 # round's world snapshot capture->restore->recapture is byte-equal.
-REGION_SANITIZE=1 ./target/release/chaos --quick --scenario par-chaos >/dev/null
+out=$(REGION_SANITIZE=1 ./target/release/chaos --quick --scenario par-chaos)
+pin par-chaos "digest 3840349d876ec331 (bit-identical re-run)" "$out"
 
 echo "== region service under adversity (deadlines, backpressure, quarantine) =="
 # Quick soak of the long-lived region service: books asserted
 # byte-identical at 1/2/4 OS threads and across a same-seed rerun,
 # ledger conserved, every quarantined region reaped. The committed
 # BENCH_server.json is the full-scale record; the quick rerun goes to
-# target/ so it can't clobber it.
-REGION_SANITIZE=1 BENCH_SERVER_OUT=target/BENCH_server_quick.json \
-    ./target/release/server --quick >/dev/null
+# target/ so it can't clobber it. The quick books are pinned.
+out=$(REGION_SANITIZE=1 BENCH_SERVER_OUT=target/BENCH_server_quick.json \
+    ./target/release/server --quick)
+pin "server books" "books 4d44ec2fd9b9b10a identical" "$out"
 
 echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
 # The server binary already asserts the encoded books byte-identical
@@ -103,8 +118,9 @@ echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
 # across an unbounded, a 64-unit and a 1-unit deletion budget — only
 # the wall-clock and pause columns may drift (--ignore-time).
 for b in inf 64 1; do
-    REGION_SANITIZE=1 BENCH_SERVER_OUT="target/BENCH_server_b$b.json" \
-        ./target/release/server --quick --delete-budget "$b" >/dev/null
+    out=$(REGION_SANITIZE=1 BENCH_SERVER_OUT="target/BENCH_server_b$b.json" \
+        ./target/release/server --quick --delete-budget "$b")
+    pin "server books at budget $b" "books 4d44ec2fd9b9b10a identical" "$out"
     cp results/server.json "target/server_b$b.json"
 done
 ./target/release/compare_results target/server_binf.json target/server_b64.json --ignore-time >/dev/null
@@ -112,7 +128,8 @@ done
 # Full-adversity service chaos (now including the incremental-deletion
 # budget arms at 64 and 1): injected faults + panics + watermark
 # pressure, conservation and clean sanitize/audit every round.
-REGION_SANITIZE=1 ./target/release/chaos --quick --scenario server-chaos >/dev/null
+out=$(REGION_SANITIZE=1 ./target/release/chaos --quick --scenario server-chaos)
+pin server-chaos "digest 78a897ddcbc7eabc (bit-identical re-run)" "$out"
 
 echo "== elision differential (vm-chaos A/B, sanitize on) =="
 # Every random C@ program runs twice — paper-faithful codegen vs the
@@ -152,11 +169,7 @@ echo "== results schema self-compare =="
 # them with elision off/on respectively.
 ./target/release/compare_results results/fig11.json results/fig11.json --ignore-time >/dev/null
 ./target/release/compare_results results/cq_bench.json results/cq_bench.json --ignore-time >/dev/null
-# server carries the p50_us/p99_us/p999_us latency columns
-# (missing-as-equal for older documents, drift is always a warning);
-# the quick run above rewrote it, so this also proves the quick books
-# survived the rewrite.
-./target/release/compare_results results/server.json results/server.json >/dev/null
+# (server's quick books are pinned at the service step above.)
 
 echo "== criterion benches, quick mode =="
 BENCH_QUICK=1 cargo bench -p bench-harness >/dev/null

@@ -14,15 +14,21 @@
 //!
 //! [`ParRegionPool`] implements exactly that protocol for host threads:
 //!
-//! * each registered [`ParThread`] owns a vector of per-region local
-//!   counts, adjusted with `Relaxed` atomics (only the owning thread
-//!   writes them — the atomics exist so `try_delete` can read them);
+//! * a registered [`ParThread`] keeps one local count per region it has
+//!   *touched*, adjusted with `Relaxed` atomics (only the owning thread
+//!   writes it — the atomic exists so `try_delete` can read it);
+//! * each region's row in the pool's table lists the count slots of the
+//!   threads that touched it: creating a region books the creator's slot
+//!   under the lock creation already takes, and a thread's first touch of
+//!   another thread's region books its slot once — every later
+//!   adjustment is lock-free;
 //! * [`ParThread::exchange_ref`] updates a shared reference cell with an
 //!   atomic swap and adjusts only the *local* counts for the old and new
 //!   referents;
 //! * [`ParRegionPool::try_delete`] takes the pool lock (the one global
 //!   synchronization point, shared with region creation) and deletes the
-//!   region iff its local counts sum to zero.
+//!   region iff the counts in its row, plus the orphan ledger, sum to
+//!   zero — no other lock, and no thread that never touched the region.
 //!
 //! A local count may be negative — thread A can release a reference that
 //! thread B created; only the sum is meaningful.
@@ -35,12 +41,13 @@
 //! with four mechanisms (DESIGN §12):
 //!
 //! * **Owned-reference accounting.** [`ParThread::acquire`] returns an
-//!   RAII [`ParRef`]; the thread's ledger records every handle it still
+//!   RAII [`ParRef`]; the thread's slot records every handle it still
 //!   holds. When a `ParThread` is dropped — *including drop during a
-//!   panic unwind* — it settles: held handles are released (the thread
-//!   owned them, they die with it) and any residual ± counts are folded
-//!   into a pool-owned **orphan ledger**, so the global sum stays exactly
-//!   what it was and deletion stays meaningful.
+//!   panic unwind* — it settles the slots it touched, and only those:
+//!   held handles are released (the thread owned them, they die with it)
+//!   and any residual ± counts are folded into a pool-owned **orphan
+//!   ledger**, so the global sum stays exactly what it was and deletion
+//!   stays meaningful.
 //! * **Quarantine.** [`ParRegionPool::try_delete_checked`] distinguishes
 //!   a region blocked by live threads' references
 //!   ([`ParRegionError::BlockedByLiveRefs`]) from one blocked by counts
@@ -63,8 +70,11 @@
 //! `sanitize()`. The hot-path operations stay exactly as cheap as the
 //! paper promises — `exchange_ref` is one atomic swap plus two `Relaxed`
 //! RMWs on thread-owned counters.
+//!
+//! Lock order everywhere: `regions` → a thread's `settled` flag;
+//! `cells` is only ever taken after `regions` or alone.
 
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use crate::error::ParRegionError;
@@ -116,78 +126,24 @@ impl RefCell32 {
     }
 }
 
-/// Everything one registered thread owns: the paper's local counts plus
-/// the crash-safety ledgers.
-#[derive(Debug)]
-struct ThreadLedger {
-    /// counts[r] = references to region r created minus released by this
-    /// thread. Written only by the owning thread; read under the pool
-    /// lock by `try_delete`.
-    counts: boxcar::Counts,
+/// One thread's books for one region it touched. Written only by the
+/// owning thread and its [`ParRef`]s (and by the reaper at a quiescent
+/// point); read under the pool lock through the region's row. The
+/// counters publish no other data, so writers use `Relaxed`.
+#[derive(Debug, Default)]
+struct Slot {
+    /// References to the region created minus released by the thread —
+    /// the paper's local count.
+    count: AtomicI64,
     /// Audit tally of *raw* [`ParThread::retain`]/[`ParThread::release`]
     /// calls — references the pool cannot locate (they live in program
     /// memory, not in registered cells or RAII handles).
-    raw: boxcar::Counts,
-    /// RAII-held [`ParRef`] handles per region, plus the settled flag
-    /// that makes a late `ParRef` drop a no-op after the thread died.
-    held: Mutex<HeldState>,
+    raw: AtomicI64,
+    /// RAII [`ParRef`] handles the thread holds on the region.
+    held: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct HeldState {
-    per_region: Vec<u64>,
-    settled: bool,
-}
-
-impl ThreadLedger {
-    fn new() -> ThreadLedger {
-        ThreadLedger {
-            counts: boxcar::Counts::new(),
-            raw: boxcar::Counts::new(),
-            held: Mutex::new(HeldState::default()),
-        }
-    }
-}
-
-/// A growable vector of atomic counters. (Tiny purpose-built structure —
-/// regions are created under the pool lock, so growth is coordinated.)
-mod boxcar {
-    use super::*;
-
-    #[derive(Debug)]
-    pub(super) struct Counts {
-        inner: Mutex<Vec<Arc<AtomicI64>>>,
-    }
-
-    impl Counts {
-        pub(super) fn new() -> Counts {
-            Counts { inner: Mutex::new(Vec::new()) }
-        }
-
-        pub(super) fn slot(&self, i: usize) -> Arc<AtomicI64> {
-            let mut v = super::lock(&self.inner);
-            while v.len() <= i {
-                v.push(Arc::new(AtomicI64::new(0)));
-            }
-            v[i].clone()
-        }
-
-        pub(super) fn get(&self, i: usize) -> i64 {
-            let v = super::lock(&self.inner);
-            v.get(i).map_or(0, |c| c.load(Ordering::Acquire))
-        }
-
-        /// Overwrites slot `i` (reaper only; see [`super::ParRegionPool::reap_orphans`]).
-        pub(super) fn reset(&self, i: usize) {
-            let v = super::lock(&self.inner);
-            if let Some(c) = v.get(i) {
-                c.store(0, Ordering::Release);
-            }
-        }
-    }
-}
-
-/// Lifecycle of one region slot.
+/// Lifecycle of one region.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum RegionState {
     /// Created, not deleted.
@@ -199,23 +155,62 @@ enum RegionState {
     Deleted,
 }
 
-/// The region table: states plus the orphan ledgers, all mutated under
-/// one lock so `try_delete`'s sum and the settle of a dying thread are
-/// atomic with respect to each other.
+/// One region's row: its state, the slots of the live threads that
+/// touched it, and its orphan ledger entries.
+#[derive(Debug)]
+struct RegionRow {
+    state: RegionState,
+    slots: Vec<Arc<Slot>>,
+    /// Residual counts folded in from dead threads.
+    orphan: i64,
+    /// Residual *raw-tally* folded in from dead threads (audit
+    /// bookkeeping only; always a sub-component of `orphan`'s history).
+    orphan_raw: i64,
+}
+
+impl RegionRow {
+    fn is_alive(&self) -> bool {
+        matches!(self.state, RegionState::Live | RegionState::Quarantined)
+    }
+
+    /// Sum of the live threads' local counts.
+    fn live_sum(&self) -> i64 {
+        self.slots.iter().map(|s| s.count.load(Ordering::Acquire)).sum()
+    }
+
+    /// RAII handles held across the live threads.
+    fn held(&self) -> u64 {
+        self.slots.iter().map(|s| s.held.load(Ordering::Acquire)).sum()
+    }
+}
+
+/// The region table, mutated under one lock so `try_delete`'s sum, a
+/// first touch, and the settle of a dying thread are atomic with respect
+/// to each other.
 #[derive(Debug, Default)]
 struct RegionTable {
-    state: Vec<RegionState>,
-    /// Per-region residual counts folded in from dead threads.
-    orphan: Vec<i64>,
-    /// Per-region residual *raw-tally* folded in from dead threads (audit
-    /// bookkeeping only; always a sub-component of `orphan`'s history).
-    orphan_raw: Vec<i64>,
+    rows: Vec<RegionRow>,
+    /// Registered threads not yet dropped.
+    threads: u64,
+}
+
+impl RegionTable {
+    fn row(&self, r: ParRegionId) -> Option<&RegionRow> {
+        self.rows.get(r.index())
+    }
+
+    /// Ids of the rows satisfying `keep`, in id order.
+    fn ids(&self, keep: impl Fn(&RegionRow) -> bool) -> Vec<ParRegionId> {
+        (0..self.rows.len() as u32)
+            .map(ParRegionId)
+            .filter(|&r| keep(&self.rows[r.index()]))
+            .collect()
+    }
 }
 
 #[derive(Debug)]
 struct PoolShared {
     regions: Mutex<RegionTable>,
-    threads: Mutex<Vec<Arc<ThreadLedger>>>,
     cells: Mutex<Vec<Arc<RefCell32>>>,
 }
 
@@ -280,19 +275,23 @@ impl ParRegionPool {
         ParRegionPool {
             shared: Arc::new(PoolShared {
                 regions: Mutex::new(RegionTable::default()),
-                threads: Mutex::new(Vec::new()),
                 cells: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// Registers the calling thread, returning its handle. Registration is
-    /// the only per-thread setup cost; afterwards count adjustments are
-    /// unsynchronized (`Relaxed` on thread-owned counters).
+    /// Registers the calling thread, returning its handle. Registration
+    /// and each first touch of a region are the only per-thread setup
+    /// costs; afterwards count adjustments are unsynchronized (`Relaxed`
+    /// on thread-owned counters).
     pub fn register_thread(&self) -> ParThread {
-        let ledger = Arc::new(ThreadLedger::new());
-        lock(&self.shared.threads).push(ledger.clone());
-        ParThread { pool: self.clone(), ledger, cache: Vec::new() }
+        lock(&self.shared.regions).threads += 1;
+        ParThread {
+            pool: self.clone(),
+            settled: Arc::new(Mutex::new(false)),
+            slots: Vec::new(),
+            touched: Vec::new(),
+        }
     }
 
     /// Creates a shared reference cell the pool knows about: its current
@@ -308,44 +307,29 @@ impl ParRegionPool {
     /// `true` if the region has not been deleted (a quarantined region is
     /// still alive).
     pub fn is_live(&self, r: ParRegionId) -> bool {
-        matches!(
-            lock(&self.shared.regions).state.get(r.index()),
-            Some(RegionState::Live | RegionState::Quarantined)
-        )
+        lock(&self.shared.regions).row(r).is_some_and(RegionRow::is_alive)
     }
 
     /// `true` if a delete attempt flagged the region as blocked by
     /// orphaned counts and it has not been deleted since.
     pub fn is_quarantined(&self, r: ParRegionId) -> bool {
-        lock(&self.shared.regions).state.get(r.index()).copied() == Some(RegionState::Quarantined)
+        lock(&self.shared.regions).row(r).is_some_and(|row| row.state == RegionState::Quarantined)
     }
 
     /// Every region currently alive (live or quarantined), in id order.
     pub fn live_regions(&self) -> Vec<ParRegionId> {
-        lock(&self.shared.regions)
-            .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, RegionState::Live | RegionState::Quarantined))
-            .map(|(i, _)| ParRegionId(i as u32))
-            .collect()
+        lock(&self.shared.regions).ids(RegionRow::is_alive)
     }
 
     /// Every region currently quarantined, in id order.
     pub fn quarantined(&self) -> Vec<ParRegionId> {
-        lock(&self.shared.regions)
-            .state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == RegionState::Quarantined)
-            .map(|(i, _)| ParRegionId(i as u32))
-            .collect()
+        lock(&self.shared.regions).ids(|row| row.state == RegionState::Quarantined)
     }
 
     /// Attempts to delete a region: takes the pool lock (the paper's
-    /// global synchronization for deletion), sums every live thread's
-    /// local count plus the orphan ledger, and deletes iff the sum is
-    /// zero.
+    /// global synchronization for deletion) — and no other — sums the
+    /// local counts in the region's row plus the orphan ledger, and
+    /// deletes iff the sum is zero.
     ///
     /// On failure the typed error says *why*: blocked by live threads'
     /// references (retry once they release), or blocked by counts
@@ -353,22 +337,18 @@ impl ParRegionPool {
     /// the quarantined state for [`reap_orphans`].
     pub fn try_delete_checked(&self, r: ParRegionId) -> Result<(), ParRegionError> {
         let mut regions = lock(&self.shared.regions);
-        let i = r.index();
-        match regions.state.get(i) {
-            None | Some(RegionState::Deleted) => {
-                return Err(ParRegionError::DeadOrUnknown { region: r })
-            }
-            Some(RegionState::Live | RegionState::Quarantined) => {}
-        }
-        let threads = lock(&self.shared.threads);
-        let live_sum: i64 = threads.iter().map(|t| t.counts.get(i)).sum();
-        let orphan_sum = regions.orphan.get(i).copied().unwrap_or(0);
+        let row = match regions.rows.get_mut(r.index()) {
+            Some(row) if row.is_alive() => row,
+            _ => return Err(ParRegionError::DeadOrUnknown { region: r }),
+        };
+        let live_sum = row.live_sum();
+        let orphan_sum = row.orphan;
         if live_sum + orphan_sum == 0 {
-            regions.state[i] = RegionState::Deleted;
+            row.state = RegionState::Deleted;
             return Ok(());
         }
         if orphan_sum != 0 {
-            regions.state[i] = RegionState::Quarantined;
+            row.state = RegionState::Quarantined;
             Err(ParRegionError::BlockedByOrphans { region: r, live_sum, orphan_sum })
         } else {
             Err(ParRegionError::BlockedByLiveRefs { region: r, sum: live_sum })
@@ -396,16 +376,13 @@ impl ParRegionPool {
     /// local count plus the orphan ledger, taken under the lock; for
     /// tests and diagnostics.
     pub fn global_count(&self, r: ParRegionId) -> i64 {
-        let regions = lock(&self.shared.regions);
-        let threads = lock(&self.shared.threads);
-        let live: i64 = threads.iter().map(|t| t.counts.get(r.index())).sum();
-        live + regions.orphan.get(r.index()).copied().unwrap_or(0)
+        lock(&self.shared.regions).row(r).map_or(0, |row| row.live_sum() + row.orphan)
     }
 
     /// The orphan ledger entry for a region (counts stranded by dead
     /// threads, net); diagnostics.
     pub fn orphan_count(&self, r: ParRegionId) -> i64 {
-        lock(&self.shared.regions).orphan.get(r.index()).copied().unwrap_or(0)
+        lock(&self.shared.regions).row(r).map_or(0, |row| row.orphan)
     }
 
     /// Reclaims quarantined regions, explicitly and with a report.
@@ -430,44 +407,34 @@ impl ParRegionPool {
     /// are mid-schedule.
     pub fn reap_orphans(&self) -> ReapReport {
         let mut regions = lock(&self.shared.regions);
-        let threads = lock(&self.shared.threads);
         let cells: Vec<Arc<RefCell32>> = lock(&self.shared.cells).clone();
         let mut report = ReapReport::default();
-        for i in 0..regions.state.len() {
-            if regions.state[i] != RegionState::Quarantined {
-                continue;
-            }
-            let r = ParRegionId(i as u32);
-            let live_sum: i64 = threads.iter().map(|t| t.counts.get(i)).sum();
-            let orphan_sum = regions.orphan.get(i).copied().unwrap_or(0);
+        for r in regions.ids(|row| row.state == RegionState::Quarantined) {
+            let row = &mut regions.rows[r.index()];
+            let live_sum = row.live_sum();
+            let orphan_sum = row.orphan;
             if live_sum + orphan_sum == 0 {
-                regions.state[i] = RegionState::Deleted;
+                row.state = RegionState::Deleted;
                 report.settled.push(r);
                 continue;
             }
-            let held: u64 = threads
-                .iter()
-                .map(|t| {
-                    let h = lock(&t.held);
-                    h.per_region.get(i).copied().unwrap_or(0)
-                })
-                .sum();
+            let held = row.held();
             let published =
                 cells.iter().filter(|c| c.get() == Some(r)).count() as u64;
             let positive_live =
-                threads.iter().any(|t| t.counts.get(i) > 0);
+                row.slots.iter().any(|s| s.count.load(Ordering::Acquire) > 0);
             if held == 0 && published == 0 && !positive_live {
                 // Residue is attributable only to dead threads' raw
                 // counts (their RAII handles were released at settle) and
                 // live threads' negative (release-side) counts. Zero the
-                // whole column so the books stay balanced post-delete.
-                for t in threads.iter() {
-                    t.counts.reset(i);
-                    t.raw.reset(i);
+                // whole row so the books stay balanced post-delete.
+                for s in &row.slots {
+                    s.count.store(0, Ordering::Release);
+                    s.raw.store(0, Ordering::Release);
                 }
-                regions.orphan[i] = 0;
-                regions.orphan_raw[i] = 0;
-                regions.state[i] = RegionState::Deleted;
+                row.orphan = 0;
+                row.orphan_raw = 0;
+                row.state = RegionState::Deleted;
                 report.reaped.push(ReapedRegion { region: r, orphan_count: orphan_sum, live_residue: live_sum });
             } else {
                 report.still_blocked.push(BlockedRegion {
@@ -503,12 +470,11 @@ impl ParRegionPool {
     /// (transient) mismatch.
     pub fn audit(&self) -> ParAuditReport {
         let regions = lock(&self.shared.regions);
-        let threads = lock(&self.shared.threads);
         let cells: Vec<Arc<RefCell32>> = lock(&self.shared.cells).clone();
-        let n = regions.state.len();
+        let n = regions.rows.len();
         let mut report = ParAuditReport {
             regions_audited: n as u64,
-            threads_audited: threads.len() as u64,
+            threads_audited: regions.threads,
             cells_audited: cells.len() as u64,
             ..ParAuditReport::default()
         };
@@ -519,36 +485,28 @@ impl ParRegionPool {
                 if let Some(p) = published.get_mut(r.index()) {
                     *p += 1;
                 }
-                if regions.state.get(r.index()).copied() == Some(RegionState::Deleted) {
+                if regions.row(r).is_some_and(|row| row.state == RegionState::Deleted) {
                     report.dangling_cells.push(DanglingCell { cell: ci, region: r });
                 }
             }
         }
 
-        for i in 0..n {
+        for (i, row) in regions.rows.iter().enumerate() {
             let r = ParRegionId(i as u32);
-            let live_sum: i64 = threads.iter().map(|t| t.counts.get(i)).sum();
-            let counted = live_sum + regions.orphan.get(i).copied().unwrap_or(0);
-            match regions.state[i] {
+            let counted = row.live_sum() + row.orphan;
+            match row.state {
                 RegionState::Deleted => {
                     if counted != 0 {
                         report.dead_residue.push(DeadResidue { region: r, residue: counted });
                     }
                 }
                 RegionState::Live | RegionState::Quarantined => {
-                    if regions.state[i] == RegionState::Quarantined {
+                    if row.state == RegionState::Quarantined {
                         report.quarantined += 1;
                     }
-                    let held: i64 = threads
-                        .iter()
-                        .map(|t| {
-                            let h = lock(&t.held);
-                            h.per_region.get(i).copied().unwrap_or(0) as i64
-                        })
-                        .sum();
-                    let raw: i64 = threads.iter().map(|t| t.raw.get(i)).sum::<i64>()
-                        + regions.orphan_raw.get(i).copied().unwrap_or(0);
-                    let recomputed = published[i] + held + raw;
+                    let raw: i64 = row.slots.iter().map(|s| s.raw.load(Ordering::Acquire)).sum::<i64>()
+                        + row.orphan_raw;
+                    let recomputed = published[i] + row.held() as i64 + raw;
                     if recomputed != counted {
                         report.mismatches.push(ParCountMismatch { region: r, counted, recomputed });
                     }
@@ -727,12 +685,12 @@ impl std::fmt::Display for ParAuditReport {
 /// Dropping the handle releases the reference (one `Relaxed` decrement on
 /// the owning thread's counter). If the owning [`ParThread`] has already
 /// settled — it was dropped, possibly during a panic unwind, and released
-/// every handle its ledger recorded — the drop is a no-op, so a handle
+/// every handle its slots recorded — the drop is a no-op, so a handle
 /// can never double-release.
 #[derive(Debug)]
 pub struct ParRef {
-    ledger: Arc<ThreadLedger>,
-    slot: Arc<AtomicI64>,
+    settled: Arc<Mutex<bool>>,
+    slot: Arc<Slot>,
     region: ParRegionId,
 }
 
@@ -745,67 +703,90 @@ impl ParRef {
 
 impl Drop for ParRef {
     fn drop(&mut self) {
-        let mut held = lock(&self.ledger.held);
-        if held.settled {
+        if *lock(&self.settled) {
             return; // the dying thread already released this handle
         }
-        let slot = &mut held.per_region[self.region.index()];
-        *slot = slot.saturating_sub(1);
-        self.slot.fetch_sub(1, Ordering::Relaxed);
+        self.slot.held.fetch_sub(1, Ordering::Relaxed);
+        self.slot.count.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// A thread's handle into a [`ParRegionPool`].
 ///
 /// Dropping the handle — in an orderly return *or during a panic unwind*
-/// — settles the thread's ledger into the pool: RAII-held references are
-/// released, residual ± counts are folded into the orphan ledger, and
-/// the thread is removed from the pool, so the sum-to-zero protocol
-/// stays meaningful after a crash.
+/// — settles the slots the thread touched into the pool: RAII-held
+/// references are released, residual ± counts are folded into the
+/// orphan ledger, and the slots leave their region rows, so the
+/// sum-to-zero protocol stays meaningful after a crash.
 #[derive(Debug)]
 pub struct ParThread {
     pool: ParRegionPool,
-    ledger: Arc<ThreadLedger>,
-    /// Cached counter handles so the hot path is one Relaxed RMW.
-    cache: Vec<Option<Arc<AtomicI64>>>,
+    /// Set under its lock when the thread settles; shared with the
+    /// thread's [`ParRef`]s so a late handle drop is a no-op.
+    settled: Arc<Mutex<bool>>,
+    /// `slots[r]` is this thread's slot for region `r` once touched, so
+    /// the hot path is one lookup and `Relaxed` RMWs.
+    slots: Vec<Option<Arc<Slot>>>,
+    /// The regions this thread touched, in first-touch order — all the
+    /// settle walks.
+    touched: Vec<ParRegionId>,
 }
 
 impl ParThread {
-    /// Creates a region (global synchronization, like deletion).
+    /// Creates a region (global synchronization, like deletion) and
+    /// books the creator's slot in its row under the same lock.
     pub fn create_region(&mut self) -> ParRegionId {
-        let mut regions = lock(&self.pool.shared.regions);
-        let id = ParRegionId(regions.state.len() as u32);
-        regions.state.push(RegionState::Live);
-        regions.orphan.push(0);
-        regions.orphan_raw.push(0);
+        let slot = Arc::new(Slot::default());
+        let id = {
+            let mut regions = lock(&self.pool.shared.regions);
+            let id = ParRegionId(regions.rows.len() as u32);
+            regions.rows.push(RegionRow {
+                state: RegionState::Live,
+                slots: vec![slot.clone()],
+                orphan: 0,
+                orphan_raw: 0,
+            });
+            id
+        };
+        self.remember(id, slot);
         id
     }
 
-    fn counter_arc(&mut self, r: ParRegionId) -> Arc<AtomicI64> {
-        let i = r.index();
-        if self.cache.len() <= i {
-            self.cache.resize(i + 1, None);
+    /// This thread's slot for `r`. The first touch of a region the
+    /// thread did not create books a fresh slot in the region's row
+    /// under the pool lock; every later call is a lock-free lookup.
+    fn slot(&mut self, r: ParRegionId) -> &Arc<Slot> {
+        if self.slots.get(r.index()).is_none_or(Option::is_none) {
+            let slot = Arc::new(Slot::default());
+            lock(&self.pool.shared.regions)
+                .rows
+                .get_mut(r.index())
+                .unwrap_or_else(|| panic!("region {r:?} unknown to this pool"))
+                .slots
+                .push(slot.clone());
+            self.remember(r, slot);
         }
-        if self.cache[i].is_none() {
-            self.cache[i] = Some(self.ledger.counts.slot(i));
-        }
-        self.cache[i].clone().expect("just filled")
+        self.slots[r.index()].as_ref().expect("just booked")
     }
 
-    fn counter(&mut self, r: ParRegionId) -> &AtomicI64 {
-        let i = r.index();
-        if self.cache.len() <= i {
-            self.cache.resize(i + 1, None);
+    fn remember(&mut self, r: ParRegionId, slot: Arc<Slot>) {
+        if self.slots.len() <= r.index() {
+            self.slots.resize(r.index() + 1, None);
         }
-        if self.cache[i].is_none() {
-            self.cache[i] = Some(self.ledger.counts.slot(i));
-        }
-        self.cache[i].as_ref().expect("just filled")
+        self.slots[r.index()] = Some(slot);
+        self.touched.push(r);
     }
 
     /// Adjusts only the local count — shared by the tracked entry points.
     fn bump(&mut self, r: ParRegionId, delta: i64) {
-        self.counter(r).fetch_add(delta, Ordering::Relaxed);
+        self.slot(r).count.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Adjusts the local count and the raw tally together.
+    fn bump_raw(&mut self, r: ParRegionId, delta: i64) {
+        let slot = self.slot(r);
+        slot.count.fetch_add(delta, Ordering::Relaxed);
+        slot.raw.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Records that this thread created a reference to `r` — no
@@ -813,31 +794,24 @@ impl ParThread {
     /// in program memory the pool cannot see; the raw tally keeps
     /// [`ParRegionPool::audit`] able to balance the books regardless.
     pub fn retain(&mut self, r: ParRegionId) {
-        self.bump(r, 1);
-        self.ledger.raw.slot(r.index()).fetch_add(1, Ordering::Relaxed);
+        self.bump_raw(r, 1);
     }
 
     /// Records that this thread destroyed a reference to `r`. The local
     /// count may go negative if the reference was created elsewhere; only
     /// the cross-thread sum matters.
     pub fn release(&mut self, r: ParRegionId) {
-        self.bump(r, -1);
-        self.ledger.raw.slot(r.index()).fetch_sub(1, Ordering::Relaxed);
+        self.bump_raw(r, -1);
     }
 
     /// Creates an **owned** reference to `r`: the count is incremented
-    /// and the handle recorded in this thread's ledger, so the reference
+    /// and the handle recorded in this thread's slot, so the reference
     /// is released exactly once no matter how the thread dies.
     pub fn acquire(&mut self, r: ParRegionId) -> ParRef {
-        let slot = self.counter_arc(r);
-        slot.fetch_add(1, Ordering::Relaxed);
-        let mut held = lock(&self.ledger.held);
-        if held.per_region.len() <= r.index() {
-            held.per_region.resize(r.index() + 1, 0);
-        }
-        held.per_region[r.index()] += 1;
-        drop(held);
-        ParRef { ledger: self.ledger.clone(), slot, region: r }
+        let slot = self.slot(r).clone();
+        slot.count.fetch_add(1, Ordering::Relaxed);
+        slot.held.fetch_add(1, Ordering::Relaxed);
+        ParRef { settled: self.settled.clone(), slot, region: r }
     }
 
     /// Publishes a reference into a shared cell with an **atomic
@@ -857,37 +831,24 @@ impl ParThread {
 
 impl Drop for ParThread {
     fn drop(&mut self) {
-        // Settle. Lock order everywhere: regions -> threads -> held.
+        // Settle, touching only the rows of regions this thread touched.
         let mut regions = lock(&self.pool.shared.regions);
-        let mut threads = lock(&self.pool.shared.threads);
-        let mut held = lock(&self.ledger.held);
-        held.settled = true;
-        // Release every RAII handle the ledger still records: the thread
-        // owned them, they die with it. (Handles already dropped removed
-        // themselves; handles leaked or still alive during an unwind are
-        // exactly what this pass catches.)
-        for (i, slot) in held.per_region.iter_mut().enumerate() {
-            if *slot > 0 {
-                self.ledger.counts.slot(i).fetch_sub(*slot as i64, Ordering::Relaxed);
-                *slot = 0;
-            }
+        *lock(&self.settled) = true;
+        for r in &self.touched {
+            let slot = self.slots[r.index()].as_ref().expect("touched regions are cached");
+            let row = &mut regions.rows[r.index()];
+            // Release every RAII handle the slot still records: the
+            // thread owned them, they die with it. (Handles already
+            // dropped removed themselves; handles leaked or still alive
+            // during an unwind are exactly what this pass catches.) Then
+            // fold the residual counts into the pool-owned orphan ledger
+            // so the global sum is unchanged by the thread's death.
+            let held = slot.held.swap(0, Ordering::Acquire) as i64;
+            row.orphan += slot.count.swap(0, Ordering::Acquire) - held;
+            row.orphan_raw += slot.raw.swap(0, Ordering::Acquire);
+            row.slots.retain(|s| !Arc::ptr_eq(s, slot));
         }
-        drop(held);
-        // Fold residual counts into the pool-owned orphan ledger so the
-        // global sum is unchanged by the thread's death.
-        for i in 0..regions.state.len() {
-            let c = self.ledger.counts.get(i);
-            if c != 0 {
-                regions.orphan[i] += c;
-                self.ledger.counts.reset(i);
-            }
-            let rw = self.ledger.raw.get(i);
-            if rw != 0 {
-                regions.orphan_raw[i] += rw;
-                self.ledger.raw.reset(i);
-            }
-        }
-        threads.retain(|t| !Arc::ptr_eq(t, &self.ledger));
+        regions.threads -= 1;
     }
 }
 
@@ -1020,8 +981,8 @@ mod tests {
 
     #[test]
     fn late_registered_thread_sees_preexisting_regions() {
-        // Regression: a ParThread registered *after* regions exist reads
-        // its count slots lazily via boxcar growth; retain/release and
+        // Regression: a ParThread registered *after* regions exist books
+        // its count slots lazily on first touch; retain/release and
         // exchange against pre-existing regions must balance exactly.
         let pool = ParRegionPool::new();
         let mut early = pool.register_thread();
@@ -1031,8 +992,8 @@ mod tests {
         early.retain(r2);
 
         let mut late = pool.register_thread();
-        // Release a reference the early thread created: late's slot 2 must
-        // grow on demand and go negative.
+        // Release a reference the early thread created: late's slot for
+        // r2 is booked on demand and goes negative.
         late.release(r2);
         assert_eq!(pool.global_count(r2), 0);
         assert!(pool.try_delete(r2));
@@ -1055,6 +1016,35 @@ mod tests {
         late.exchange_ref(&cell, None);
         assert!(pool.try_delete(r1));
         assert!(pool.audit().is_clean());
+    }
+
+    /// Slots booked across every region row.
+    fn booked_slots(pool: &ParRegionPool) -> usize {
+        lock(&pool.shared.regions).rows.iter().map(|row| row.slots.len()).sum()
+    }
+
+    #[test]
+    fn settle_walks_only_the_regions_a_thread_touched() {
+        // A long-lived thread leaves 10,000 regions behind; a thread that
+        // then creates, deletes and drops one region books and settles
+        // exactly one slot, however many regions the pool has seen.
+        let pool = ParRegionPool::new();
+        let mut a = pool.register_thread();
+        for _ in 0..10_000 {
+            let r = a.create_region();
+            assert!(pool.try_delete(r));
+        }
+        assert_eq!(booked_slots(&pool), 10_000);
+        let mut b = pool.register_thread();
+        let r = b.create_region();
+        assert!(pool.try_delete(r));
+        assert_eq!(b.touched.len(), 1, "b touched only its own region");
+        assert_eq!(booked_slots(&pool), 10_001);
+        drop(b);
+        assert_eq!(booked_slots(&pool), 10_000, "b settled exactly its one slot");
+        let audit = pool.audit();
+        assert!(audit.is_clean(), "{audit}");
+        assert_eq!((audit.regions_audited, audit.threads_audited), (10_001, 1));
     }
 
     #[test]

@@ -254,6 +254,49 @@ fn random_interleavings_preserve_the_counting_identity() {
 }
 
 #[test]
+fn crash_after_cross_thread_first_touch_is_orphaned_and_reaped() {
+    let pool = ParRegionPool::new();
+    let cell = pool.register_cell();
+    let mut a = pool.register_thread();
+    let r1 = a.create_region();
+    let r2 = a.create_region();
+    a.exchange_ref(&cell, Some(r1));
+    std::thread::spawn({
+        let pool = pool.clone();
+        let cell = cell.clone();
+        move || {
+            let mut b = pool.register_thread();
+            // B's first touch of both of A's regions is one exchange:
+            // +1 on r2, -1 on the displaced r1.
+            b.exchange_ref(&cell, Some(r2));
+            b.retain(r2); // a raw strand the panic leaves behind
+            panic!("worker dies after a cross-thread first touch");
+        }
+    })
+    .join()
+    .unwrap_err();
+    assert_eq!(pool.audit().threads_audited, 1, "the dead thread left the pool");
+    // A's +1 on r1 meets B's orphaned -1.
+    assert_eq!(pool.orphan_count(r1), -1);
+    assert!(pool.try_delete(r1));
+    assert_eq!(pool.global_count(r2), 2);
+    let e = pool.try_delete_checked(r2).unwrap_err();
+    assert!(matches!(e, ParRegionError::BlockedByOrphans { live_sum: 0, orphan_sum: 2, .. }), "{e}");
+    let audit = pool.audit();
+    assert!(audit.is_clean(), "{audit}");
+    // Still published: the reaper refuses until the cell is cleared.
+    assert_eq!(pool.reap_orphans().still_blocked.len(), 1);
+    a.exchange_ref(&cell, None);
+    let report = pool.reap_orphans();
+    assert!(report.is_fully_reclaimed(), "{report}");
+    assert_eq!(report.reaped.len(), 1);
+    assert_eq!((report.reaped[0].orphan_count, report.reaped[0].live_residue), (2, -1));
+    assert!(pool.live_regions().is_empty());
+    let audit = pool.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
+#[test]
 fn every_op_kind_is_exercised_across_the_seed_range() {
     // Guards the generator: if a refactor stops drawing some op kind,
     // the property test silently weakens. Count kinds over the same

@@ -172,6 +172,67 @@ fn emulation_statistics_match_real_region_structure() {
     );
 }
 
+/// The parallel pool end to end: two real threads exchange references
+/// through registered cells while one of them dies mid-schedule holding
+/// a raw reference. The dead thread's counts survive in the orphan
+/// ledger, the stranded region quarantines, the reaper reclaims it, and
+/// the audit balances the books throughout.
+#[test]
+fn par_pool_survives_a_worker_crash() {
+    use explicit_regions::region_core::par::{ParRegionError, ParRegionPool};
+
+    let pool = ParRegionPool::new();
+    let cells = [pool.register_cell(), pool.register_cell()];
+    let mut main = pool.register_thread();
+    let shared: Vec<_> = (0..4).map(|_| main.create_region()).collect();
+    let stranded = main.create_region();
+    std::thread::scope(|s| {
+        let worker = |crash: bool| {
+            let (pool, cells, shared) = (pool.clone(), cells.clone(), shared.clone());
+            move || {
+                let mut t = pool.register_thread();
+                for k in 0..2000 {
+                    t.exchange_ref(&cells[k % 2], Some(shared[(k / 2 + usize::from(crash)) % 4]));
+                    if crash && k == 999 {
+                        t.retain(stranded);
+                        panic!("worker dies mid-schedule");
+                    }
+                }
+            }
+        };
+        let survivor = s.spawn(worker(false));
+        let crasher = s.spawn(worker(true));
+        survivor.join().expect("survivor finishes");
+        crasher.join().expect_err("crasher panics");
+    });
+
+    let audit = pool.audit();
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(audit.threads_audited, 1, "only main is still registered");
+    for &r in &shared {
+        let published = cells.iter().filter(|c| c.get() == Some(r)).count() as i64;
+        assert_eq!(pool.global_count(r), published, "{r:?}");
+    }
+    assert_eq!(pool.global_count(stranded), 1);
+    assert_eq!(pool.orphan_count(stranded), 1);
+
+    for cell in &cells {
+        main.exchange_ref(cell, None);
+    }
+    for &r in &shared {
+        pool.try_delete_checked(r).expect("exchanged regions balance once the cells clear");
+    }
+    let e = pool.try_delete_checked(stranded).unwrap_err();
+    assert!(matches!(e, ParRegionError::BlockedByOrphans { orphan_sum: 1, .. }), "{e}");
+    assert_eq!(pool.quarantined(), vec![stranded]);
+    let report = pool.reap_orphans();
+    assert!(report.is_fully_reclaimed(), "{report}");
+    assert_eq!(report.reaped.len(), 1);
+    assert!(pool.live_regions().is_empty());
+    let audit = pool.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
 /// Regression: the cfrac region variant once held a bignum constant in a
 /// host variable across a region rotation — a dangling pointer invisible
 /// to the stack scan (host variables are not shadow-stack slots). Larger
