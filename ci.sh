@@ -25,6 +25,8 @@ echo "== workspace tests (all crates) =="
 cargo test --workspace -q
 
 echo "== bench binaries, --quick smoke =="
+# --quick runs write their results under target/quick-results/, never
+# over the committed full-scale results/*.json.
 cargo build --release -p bench-harness
 for bin in table1 table2_3 fig8 fig9 fig10 fig11 ablations cq_bench; do
     echo "-- $bin --quick"
@@ -121,7 +123,7 @@ for b in inf 64 1; do
     out=$(REGION_SANITIZE=1 BENCH_SERVER_OUT="target/BENCH_server_b$b.json" \
         ./target/release/server --quick --delete-budget "$b")
     pin "server books at budget $b" "books 4d44ec2fd9b9b10a identical" "$out"
-    cp results/server.json "target/server_b$b.json"
+    cp target/quick-results/server.json "target/server_b$b.json"
 done
 ./target/release/compare_results target/server_binf.json target/server_b64.json --ignore-time >/dev/null
 ./target/release/compare_results target/server_b64.json target/server_b1.json --ignore-time >/dev/null
@@ -159,16 +161,14 @@ echo "== scan-batching parity under the sanitizer =="
 REGION_SANITIZE=1 cargo test -q -p simheap --test props
 REGION_SANITIZE=1 cargo test -q -p conservative-gc --test scan_parity
 
-echo "== results schema self-compare =="
-./target/release/compare_results results/fig8.json results/fig8.json --ignore-time >/dev/null
-# fig10 was re-recorded after the range conversions; the quick run above
-# rewrote it, so this checks the committed counters survived the rewrite.
-./target/release/compare_results results/fig10.json results/fig10.json --ignore-time >/dev/null
-# fig11/cq_bench now carry the barriers_elided column (missing-as-zero
-# for documents recorded before it existed); the quick runs above wrote
-# them with elision off/on respectively.
-./target/release/compare_results results/fig11.json results/fig11.json --ignore-time >/dev/null
-./target/release/compare_results results/cq_bench.json results/cq_bench.json --ignore-time >/dev/null
+echo "== quick results against their committed baselines =="
+# Every deterministic counter of the quick smoke runs (footprint, cache
+# stalls, safety-cost and VM counts) must equal the committed quick-scale
+# baseline in results/quick/; only wall-clock fields are ignored.
+for bench in fig8 fig10 fig11 cq_bench; do
+    ./target/release/compare_results "results/quick/$bench.json" \
+        "target/quick-results/$bench.json" --ignore-time >/dev/null
+done
 # (server's quick books are pinned at the service step above.)
 
 echo "== criterion benches, quick mode =="

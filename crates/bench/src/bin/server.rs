@@ -18,9 +18,10 @@
 //! latency are reported alongside but never folded into the books.
 //!
 //! Writes a schema-v3 results envelope with the tail-latency columns
-//! to `results/server.json`, plus the richer `BENCH_server.json`
-//! record (`BENCH_SERVER_OUT` redirects, so CI's quick smoke does not
-//! clobber the committed default-scale record).
+//! to `results/server.json` (`target/quick-results/` under `--quick`),
+//! plus the richer `BENCH_server.json` record (`BENCH_SERVER_OUT`
+//! redirects, so CI's quick smoke does not clobber the committed
+//! default-scale record).
 
 use bench_harness::runner::{host_cores, today_utc, write_results_json_full, LatencyColumn};
 use bench_harness::{install_service_panic_filter, run_service, Measurement, ServiceConfig, ServiceReport};

@@ -475,9 +475,20 @@ impl LatencyColumn {
     }
 }
 
+/// Where results documents are written: `results/` for a full-scale run,
+/// `target/quick-results/` for a `--quick` smoke run, so a smoke pass
+/// never overwrites the committed full-scale records.
+fn results_dir() -> std::path::PathBuf {
+    if std::env::args().any(|a| a == "--quick") {
+        std::path::Path::new("target").join("quick-results")
+    } else {
+        std::path::PathBuf::from("results")
+    }
+}
+
 /// Serializes measurements as a versioned JSON document and writes them
-/// to `results/<name>.json` (creating the directory), returning the
-/// path. Hand-rolled: the harness has no serialization dependency.
+/// to `<results_dir()>/<name>.json` (creating the directory), returning
+/// the path. Hand-rolled: the harness has no serialization dependency.
 pub fn write_results_json(name: &str, rows: &[Measurement]) -> std::io::Result<std::path::PathBuf> {
     write_results_json_with_par(name, rows, None)
 }
@@ -489,8 +500,8 @@ pub fn write_results_json_with_par(
     rows: &[Measurement],
     par: Option<&ParColumn>,
 ) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, results_json_with_par(name, rows, par))?;
     Ok(path)
@@ -504,8 +515,8 @@ pub fn write_results_json_full(
     par: Option<&ParColumn>,
     lat: Option<&LatencyColumn>,
 ) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, results_json_full(name, rows, par, lat))?;
     Ok(path)

@@ -14,8 +14,9 @@
 //!
 //! Robustness is the point, not an afterthought:
 //!
-//! * **deadlines + retry** — each (session × round) batch runs under a
-//!   [`crate::supervise`] watchdog; a worker panic is retried once with
+//! * **deadlines + retry** — each (session × round) batch runs under
+//!   [`crate::supervise`], whose watchdog is the coordinating thread
+//!   itself (it waits out the round); a worker panic is retried once with
 //!   deterministic linear backoff, and an injected allocation fault
 //!   replays the failed request into a *fresh region* up to
 //!   [`ServiceConfig::max_attempts`] times with the same backoff law;
@@ -93,10 +94,10 @@ pub struct ServiceConfig {
     /// both for in-request fault retries and for the supervisor's
     /// panic retries.
     pub backoff: Duration,
-    /// Per-batch watchdog deadline handed to [`crate::supervise`].
-    /// Generous by design: it is a liveness backstop, and a fired
-    /// timeout (unlike every other failure here) would not be
-    /// deterministic.
+    /// Per-batch deadline handed to [`crate::supervise`] and enforced by
+    /// the coordinating thread as watchdog. Generous by design: it is a
+    /// liveness backstop, and a fired timeout (unlike every other
+    /// failure here) would not be deterministic.
     pub deadline: Option<Duration>,
     /// Fail one in this many region allocations via
     /// [`region_core::FaultPlan`] (0 disables fault injection).

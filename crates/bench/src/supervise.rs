@@ -3,11 +3,17 @@
 //!
 //! [`supervise`] generalizes what `run_matrix_checked` did for benchmark
 //! cells to arbitrary jobs: every job runs under
-//! [`std::panic::catch_unwind`], optionally on a watchdog deadline, and
-//! is retried a bounded number of times with a deterministic linear
+//! [`std::panic::catch_unwind`], optionally under a per-attempt deadline,
+//! and is retried a bounded number of times with a deterministic linear
 //! backoff. The caller gets a structured [`WorkerReport`] per job —
 //! completed, panicked (with the decoded message), or timed out — in
 //! job order, regardless of completion order.
+//!
+//! Worker threads run the attempts inline and report when each starts
+//! and ends; the calling thread is the watchdog. It sleeps until the
+//! deadline of the oldest attempt still running, and only an attempt
+//! that overruns costs a thread: its worker is abandoned and one
+//! replacement spawned.
 //!
 //! The chaos harness (`chaos --scenario par-chaos`) uses this to drive
 //! `ParRegionPool` workers that are *expected* to crash: supervision
@@ -15,19 +21,21 @@
 //! exercises re-registration against a pool carrying orphaned counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// How [`supervise`] runs a batch of jobs.
 #[derive(Clone, Debug)]
 pub struct SuperviseConfig {
     /// Concurrent worker threads draining the job queue (min 1).
     pub workers: usize,
-    /// Watchdog deadline per *attempt*. `None` runs attempts inline on
-    /// the worker; `Some(d)` runs each attempt on its own watchdog
-    /// thread and abandons it after `d` (the thread is detached — a
-    /// stuck attempt leaks rather than wedging supervision).
+    /// Deadline per *attempt*, enforced by the calling thread as
+    /// watchdog. `None` never times out; with `Some(d)` an attempt still
+    /// running after `d` is abandoned together with its worker thread (a
+    /// stuck attempt leaks rather than wedging supervision) and a
+    /// replacement worker takes over.
     pub deadline: Option<Duration>,
     /// Maximum attempts per job (min 1). A job that panics on its last
     /// attempt is reported [`JobOutcome::Panicked`].
@@ -37,7 +45,7 @@ pub struct SuperviseConfig {
     pub backoff: Duration,
     /// Whether a timed-out attempt is retried like a panicked one.
     /// Defaults to `false`: a deadline miss usually means the job is
-    /// stuck, and rerunning it doubles the leaked watchdog threads.
+    /// stuck, and rerunning it leaks one more worker thread.
     pub retry_timeouts: bool,
 }
 
@@ -105,69 +113,91 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One attempt's result, before retry policy is applied.
-enum Attempt<T> {
-    Done(T),
-    Panic(String),
-    Timeout(Duration),
+/// What a worker tells the watchdog (the calling thread).
+enum Event<T> {
+    /// Attempt `attempt` of `job` began at `at`. Whichever of the worker
+    /// (on return) and the watchdog (on overrun) first sets `claim`
+    /// decides the attempt; the loser stands down.
+    Start { job: usize, attempt: u32, at: Instant, claim: Arc<AtomicBool> },
+    /// The attempt the last `Start` of `job` announced returned; `report`
+    /// is the job's terminal report, or `None` when it is retried.
+    End { job: usize, report: Option<WorkerReport<T>> },
 }
 
-fn run_attempt<T, F>(jobs: &Arc<Vec<F>>, job: usize, attempt: u32, deadline: Option<Duration>) -> Attempt<T>
-where
-    F: Fn(u32) -> T + Send + Sync + 'static,
-    T: Send + 'static,
-{
-    match deadline {
-        None => match catch_unwind(AssertUnwindSafe(|| jobs[job](attempt))) {
-            Ok(v) => Attempt::Done(v),
-            Err(p) => Attempt::Panic(panic_message(p)),
-        },
-        Some(d) => {
-            // Watchdog: the attempt runs on a detached thread so a stuck
-            // job can be abandoned (std::thread::scope would join — and
-            // hang — on it). The channel send after abandonment fails
-            // harmlessly.
-            let (tx, rx) = mpsc::channel();
-            let jobs = Arc::clone(jobs);
-            std::thread::spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| jobs[job](attempt)))
-                    .map_err(panic_message);
-                let _ = tx.send(result);
-            });
-            match rx.recv_timeout(d) {
-                Ok(Ok(v)) => Attempt::Done(v),
-                Ok(Err(msg)) => Attempt::Panic(msg),
-                Err(_) => Attempt::Timeout(d),
+/// The jobs of one [`supervise`] call, shared by its worker threads.
+struct Crew<F> {
+    jobs: Vec<F>,
+    /// Index of the next unstarted job.
+    next: AtomicUsize,
+    cfg: SuperviseConfig,
+}
+
+impl<F> Crew<F> {
+    /// Starts a detached worker that first resumes `job` at `attempt`
+    /// (a replacement for an abandoned worker), if given, and then
+    /// drains the queue. Detached, not scoped: a scope would join — and
+    /// hang on — a worker stuck in a job.
+    fn spawn<T>(self: &Arc<Self>, resume: Option<(usize, u32)>, tx: &Sender<Event<T>>)
+    where
+        F: Fn(u32) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        let (crew, tx) = (Arc::clone(self), tx.clone());
+        std::thread::spawn(move || crew.work(resume, &tx));
+    }
+
+    /// The worker loop. Returns when the queue is empty or when the
+    /// watchdog abandoned this worker's attempt.
+    fn work<T>(&self, mut resume: Option<(usize, u32)>, tx: &Sender<Event<T>>)
+    where
+        F: Fn(u32) -> T,
+    {
+        loop {
+            let (job, attempt) = match resume.take() {
+                Some(r) => r,
+                None => match self.next.fetch_add(1, Ordering::Relaxed) {
+                    i if i < self.jobs.len() => (i, 0),
+                    _ => return,
+                },
+            };
+            if !self.run_job(job, attempt, tx) {
+                return;
             }
         }
     }
-}
 
-fn run_job<T, F>(jobs: &Arc<Vec<F>>, job: usize, cfg: &SuperviseConfig) -> WorkerReport<T>
-where
-    F: Fn(u32) -> T + Send + Sync + 'static,
-    T: Send + 'static,
-{
-    let max_attempts = cfg.max_attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        if attempt > 0 {
-            // Deterministic linear backoff before each retry.
-            std::thread::sleep(cfg.backoff.saturating_mul(attempt));
-        }
-        let outcome = match run_attempt(jobs, job, attempt, cfg.deadline) {
-            Attempt::Done(v) => JobOutcome::Completed(v),
-            Attempt::Panic(msg) => JobOutcome::Panicked(msg),
-            Attempt::Timeout(d) => JobOutcome::TimedOut(d),
-        };
-        let retryable = match &outcome {
-            JobOutcome::Completed(_) => false,
-            JobOutcome::Panicked(_) => true,
-            JobOutcome::TimedOut(_) => cfg.retry_timeouts,
-        };
-        attempt += 1;
-        if !retryable || attempt >= max_attempts {
-            return WorkerReport { job, attempts: attempt, outcome };
+    /// Runs attempts of `job` from `attempt` on, inline under
+    /// `catch_unwind`, retrying panics with backoff until one is
+    /// terminal. `false` if the watchdog abandoned an attempt.
+    fn run_job<T>(&self, job: usize, mut attempt: u32, tx: &Sender<Event<T>>) -> bool
+    where
+        F: Fn(u32) -> T,
+    {
+        let max_attempts = self.cfg.max_attempts.max(1);
+        loop {
+            if attempt > 0 {
+                // Deterministic linear backoff before each retry.
+                std::thread::sleep(self.cfg.backoff.saturating_mul(attempt));
+            }
+            let claim = Arc::new(AtomicBool::new(false));
+            // Sends fail only once `supervise` has returned (after this
+            // worker was abandoned); the result is then unwanted.
+            let at = Instant::now();
+            let _ = tx.send(Event::Start { job, attempt, at, claim: Arc::clone(&claim) });
+            let outcome = match catch_unwind(AssertUnwindSafe(|| (self.jobs[job])(attempt))) {
+                Ok(v) => JobOutcome::Completed(v),
+                Err(p) => JobOutcome::Panicked(panic_message(p)),
+            };
+            if claim.swap(true, Ordering::AcqRel) {
+                return false; // timed out: the watchdog has moved on
+            }
+            attempt += 1;
+            let last = outcome.is_completed() || attempt >= max_attempts;
+            let report = last.then(|| WorkerReport { job, attempts: attempt, outcome });
+            let _ = tx.send(Event::End { job, report });
+            if last {
+                return true;
+            }
         }
     }
 }
@@ -177,43 +207,83 @@ where
 ///
 /// Each job is a closure receiving its attempt index (0 on the first
 /// try), so a job can behave differently on retry — the chaos harness
-/// injects "panic on attempt 0 only" faults this way. Workers pull jobs
-/// from a shared cursor; a panicked or abandoned job costs that job,
-/// never the batch.
+/// injects "panic on attempt 0 only" faults this way. `workers` detached
+/// threads pull jobs from a shared cursor and run every attempt inline;
+/// a panicked or abandoned job costs that job, never the batch.
+///
+/// The calling thread is the watchdog: it collects the workers' reports
+/// and, under a deadline, waits no longer than the deadline of the
+/// oldest attempt still running. An attempt that overruns is abandoned
+/// together with its worker (the thread leaks rather than wedging
+/// supervision), and one replacement worker is spawned — it retries the
+/// job first when [`SuperviseConfig::retry_timeouts`] allows. A call
+/// therefore spawns `workers` threads plus one per abandoned attempt.
+/// With one worker and no deadline the jobs run on the calling thread.
 pub fn supervise<T, F>(jobs: Vec<F>, cfg: &SuperviseConfig) -> Vec<WorkerReport<T>>
 where
     F: Fn(u32) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
     let n = jobs.len();
-    let jobs = Arc::new(jobs);
     let workers = cfg.workers.max(1).min(n.max(1));
+    let crew = Arc::new(Crew { jobs, next: AtomicUsize::new(0), cfg: cfg.clone() });
+    let (tx, rx) = mpsc::channel();
     if workers <= 1 && cfg.deadline.is_none() {
-        // Inline fast path: no worker threads on a serial machine.
-        return (0..n).map(|i| run_job(&jobs, i, cfg)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<WorkerReport<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
+        // Inline: no worker threads on a serial machine.
+        crew.work(None, &tx);
+    } else {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let report = run_job(&jobs, i, cfg);
-                *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(report);
-            });
+            crew.spawn(None, &tx);
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every job ran")
-        })
-        .collect()
+    }
+    let max_attempts = cfg.max_attempts.max(1);
+    let mut reports: Vec<Option<WorkerReport<T>>> = (0..n).map(|_| None).collect();
+    // Per job: the attempt running now, when it began, and its claim.
+    let mut running: Vec<Option<(u32, Instant, Arc<AtomicBool>)>> = (0..n).map(|_| None).collect();
+    let mut left = n;
+    while left > 0 {
+        let oldest = cfg.deadline.and_then(|d| {
+            (0..n)
+                .filter_map(|j| running[j].as_ref().map(|&(_, at, _)| (j, at + d)))
+                .min_by_key(|&(_, due)| due)
+        });
+        // The watchdog holds a sender itself, so the channel never
+        // disconnects: an error is always a timeout.
+        let event = match oldest {
+            None => rx.recv().ok(),
+            Some((_, due)) => rx.recv_timeout(due.saturating_duration_since(Instant::now())).ok(),
+        };
+        match event {
+            Some(Event::Start { job, attempt, at, claim }) => {
+                running[job] = Some((attempt, at, claim));
+            }
+            Some(Event::End { job, report }) => {
+                running[job] = None;
+                if let Some(r) = report {
+                    reports[job] = Some(r);
+                    left -= 1;
+                }
+            }
+            None => {
+                let (job, _) = oldest.expect("recv without a deadline cannot time out");
+                let (attempt, _, claim) = running[job].take().expect("oldest attempt is running");
+                if claim.swap(true, Ordering::AcqRel) {
+                    continue; // returned just in time: its End is on the way
+                }
+                let d = cfg.deadline.expect("only a deadline times out");
+                let attempts = attempt + 1;
+                if cfg.retry_timeouts && attempts < max_attempts {
+                    crew.spawn(Some((job, attempts)), &tx);
+                } else {
+                    let outcome = JobOutcome::TimedOut(d);
+                    reports[job] = Some(WorkerReport { job, attempts, outcome });
+                    left -= 1;
+                    crew.spawn(None, &tx);
+                }
+            }
+        }
+    }
+    reports.into_iter().map(|r| r.expect("every job reported")).collect()
 }
 
 #[cfg(test)]
@@ -297,6 +367,57 @@ mod tests {
         assert_eq!(reports[0].outcome, JobOutcome::TimedOut(Duration::from_millis(50)));
         assert_eq!(reports[0].attempts, 1, "timeouts are not retried by default");
         assert_eq!(reports[1].outcome, JobOutcome::Completed(7));
+    }
+
+    #[test]
+    fn attempts_run_inline_on_at_most_workers_threads() {
+        // Every third job panics on attempt 0 and is retried; with or
+        // without a deadline, no attempt gets a thread of its own.
+        for deadline in [None, Some(Duration::from_secs(60))] {
+            let jobs: Vec<_> = (0..12)
+                .map(|j| {
+                    move |attempt: u32| {
+                        if j % 3 == 0 && attempt == 0 {
+                            panic!("flaky job {j}");
+                        }
+                        std::thread::current().id()
+                    }
+                })
+                .collect();
+            let cfg = SuperviseConfig {
+                workers: 2,
+                deadline,
+                max_attempts: 2,
+                backoff: Duration::ZERO,
+                ..SuperviseConfig::default()
+            };
+            let reports = supervise(jobs, &cfg);
+            let mut ids = std::collections::HashSet::new();
+            for (j, r) in reports.into_iter().enumerate() {
+                assert_eq!(r.attempts, if j % 3 == 0 { 2 } else { 1 });
+                ids.insert(r.outcome.completed().expect("every job completes"));
+            }
+            assert!(ids.len() <= 2, "{} threads ran the attempts ({deadline:?})", ids.len());
+        }
+    }
+
+    #[test]
+    fn timed_out_attempt_is_retried_on_a_replacement_worker() {
+        let jobs = boxed(vec![Box::new(|attempt| {
+            if attempt == 0 {
+                std::thread::sleep(Duration::from_secs(30));
+            }
+            attempt
+        })]);
+        let cfg = SuperviseConfig {
+            deadline: Some(Duration::from_millis(50)),
+            max_attempts: 2,
+            retry_timeouts: true,
+            ..SuperviseConfig::default()
+        };
+        let reports = supervise(jobs, &cfg);
+        assert_eq!(reports[0].attempts, 2);
+        assert_eq!(reports[0].outcome, JobOutcome::Completed(1));
     }
 
     #[test]

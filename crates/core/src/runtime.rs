@@ -1294,40 +1294,37 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             let n = self.heap.load_u32_fast(cur + WORD);
                             let stride = self.heap.load_u32_fast(cur + 2 * WORD);
                             let data = cur + 3 * WORD;
-                            let offsets = self.descs.get(desc).ptr_offsets().to_vec();
-                            let all_null = match offsets[..] {
-                                [off] if n > 1 && stride > 0 => {
-                                    (0..n).all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
-                                }
-                                _ => false,
-                            };
+                            let (nptrs, first) = self.ptr_fields(desc);
+                            let all_null = nptrs == 1
+                                && n > 1
+                                && stride > 0
+                                && (0..n)
+                                    .all(|i| self.heap.peek_u32(data + i * stride + first) == 0);
                             if all_null {
                                 self.costs.cleanup_ptrs += u64::from(n);
                                 self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                                self.heap.load_u32_range(data + offsets[0], n, stride);
+                                self.heap.load_u32_range(data + first, n, stride);
                                 budget = budget.saturating_sub(u64::from(n));
                             } else {
                                 for i in 0..n {
-                                    for &off in &offsets {
+                                    for k in 0..nptrs {
+                                        let off = self.descs.get(desc).ptr_offsets()[k];
                                         self.cleanup_release(r, data + i * stride + off);
                                     }
                                 }
-                                budget = budget
-                                    .saturating_sub(u64::from(n) * offsets.len() as u64);
+                                budget = budget.saturating_sub(u64::from(n) * nptrs as u64);
                             }
                             data + n * stride
                         } else {
                             let desc = DescId(hdr - 1);
                             let data = cur + WORD;
-                            let (size, offsets) = {
-                                let d = self.descs.get(desc);
-                                (d.size(), d.ptr_offsets().to_vec())
-                            };
-                            for &off in &offsets {
+                            let (nptrs, _) = self.ptr_fields(desc);
+                            for k in 0..nptrs {
+                                let off = self.descs.get(desc).ptr_offsets()[k];
                                 self.cleanup_release(r, data + off);
                             }
-                            budget = budget.saturating_sub(offsets.len() as u64);
-                            data + align_up(size, WORD)
+                            budget = budget.saturating_sub(nptrs as u64);
+                            data + align_up(self.descs.get(desc).size(), WORD)
                         };
                         budget = budget.saturating_sub(1);
                         marks.last_mut().unwrap().2 = next - page;
@@ -1400,7 +1397,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     let n = self.heap.load_u32_fast(cur + WORD);
                     let stride = self.heap.load_u32_fast(cur + 2 * WORD);
                     let data = cur + 3 * WORD;
-                    let offsets = self.descs.get(desc).ptr_offsets().to_vec();
+                    let (nptrs, first) = self.ptr_fields(desc);
                     // Single-pointer arrays whose fields are all still null
                     // (common: cleared on alloc, never linked) release
                     // nothing, so the walk is one strided bulk load — a
@@ -1408,19 +1405,18 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     // equal to the per-field walk: `region_of(null)` loads
                     // nothing, so the baseline stream is exactly these n
                     // word reads.
-                    let all_null = match offsets[..] {
-                        [off] if n > 1 && stride > 0 => {
-                            (0..n).all(|i| self.heap.peek_u32(data + i * stride + off) == 0)
-                        }
-                        _ => false,
-                    };
+                    let all_null = nptrs == 1
+                        && n > 1
+                        && stride > 0
+                        && (0..n).all(|i| self.heap.peek_u32(data + i * stride + first) == 0);
                     if all_null {
                         self.costs.cleanup_ptrs += u64::from(n);
                         self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                        self.heap.load_u32_range(data + offsets[0], n, stride);
+                        self.heap.load_u32_range(data + first, n, stride);
                     } else {
                         for i in 0..n {
-                            for &off in &offsets {
+                            for k in 0..nptrs {
+                                let off = self.descs.get(desc).ptr_offsets()[k];
                                 self.cleanup_release(r, data + i * stride + off);
                             }
                         }
@@ -1429,17 +1425,23 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 } else {
                     let desc = DescId(hdr - 1);
                     let data = cur + WORD;
-                    let (size, offsets) = {
-                        let d = self.descs.get(desc);
-                        (d.size(), d.ptr_offsets().to_vec())
-                    };
-                    for &off in &offsets {
+                    let (nptrs, _) = self.ptr_fields(desc);
+                    for k in 0..nptrs {
+                        let off = self.descs.get(desc).ptr_offsets()[k];
                         self.cleanup_release(r, data + off);
                     }
-                    cur = data + align_up(size, WORD);
+                    cur = data + align_up(self.descs.get(desc).size(), WORD);
                 }
             }
         }
+    }
+
+    /// How many pointer fields `desc` has, and the offset of the first
+    /// (0 if none). The cleanup walks index the offsets field by field
+    /// instead of copying them, since each release needs `&mut self`.
+    fn ptr_fields(&self, desc: DescId) -> (usize, u32) {
+        let offsets = self.descs.get(desc).ptr_offsets();
+        (offsets.len(), offsets.first().copied().unwrap_or(0))
     }
 
     /// `destroy(x->field)` of paper Figure 6: release the count a pointer

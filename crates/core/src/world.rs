@@ -93,7 +93,7 @@ pub fn capture_world(space: &Arc<SharedSpace>, runtimes: &[&RegionRuntime<HeapSh
             None => w.u8(0),
             Some(words) => {
                 if words.iter().all(|&v| v == 0) {
-                    w.u8(2); // installed all-zero page: tag only
+                    w.u8(2); // mapped all-zero page, written or not: tag only
                 } else {
                     w.u8(1);
                     for &v in &words {
@@ -121,7 +121,7 @@ pub fn capture_world(space: &Arc<SharedSpace>, runtimes: &[&RegionRuntime<HeapSh
 /// Untrusted input never panics: bad magic, a non-world version,
 /// truncation, unknown page tags, impossible geometry (zero or >255
 /// workers, a space too small for its workers, a slot count that does
-/// not match), pages installed outside every worker's allocated prefix,
+/// not match), pages mapped outside every worker's allocated prefix,
 /// mirror entries naming out-of-range workers or pages outside the named
 /// worker's shard, and trailing garbage are all rejected with a typed
 /// [`SnapshotError`]. Each decoded runtime must then pass the same gates
@@ -157,8 +157,7 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
     }
     let span = space.span_pages();
     let psize = PAGE_SIZE as usize;
-    let mut installed = vec![false; slots as usize];
-    let zero_page = vec![0u32; psize / 4];
+    let mut mapped = vec![false; slots as usize];
     for page in 0..slots {
         let tag = r.u8()?;
         if tag == 0 {
@@ -168,10 +167,11 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
         if page == 0 || tag > 2 {
             return Err(r.malformed());
         }
-        let words: Vec<u32> = if tag == 1 {
-            r.raw(psize)?.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
+        let words: Option<Vec<u32>> = if tag == 1 {
+            let chunks = r.raw(psize)?.chunks_exact(4);
+            Some(chunks.map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
         } else {
-            zero_page.clone()
+            None
         };
         let mirror = r.u32()?;
         match SharedSpace::decode_mirror(mirror) {
@@ -188,9 +188,13 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
             None if mirror != 0 => return Err(r.malformed()),
             None => {}
         }
-        space.install_page(page, &words);
+        // An all-zero page stays unborn, as it was before capture: the
+        // adopted break maps it and it reads as zero until written.
+        if let Some(words) = words {
+            space.install_page(page, &words);
+        }
         space.set_mirror_entry(page, mirror);
-        installed[page as usize] = true;
+        mapped[page as usize] = true;
     }
     // -- per-worker shard state + runtime body --
     r.section("shards");
@@ -201,10 +205,11 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
             return Err(r.malformed());
         }
         let base = space.base_page(w);
-        // The shard's mapped range is exactly the installed prefix of its
-        // span: a hole inside it or a stray page beyond it is corrupt.
+        // The shard's mapped range is exactly the prefix of its span
+        // below the break: a hole inside it or a stray page beyond it is
+        // corrupt.
         for i in 0..span {
-            if installed[(base + i) as usize] != (i < allocated) {
+            if mapped[(base + i) as usize] != (i < allocated) {
                 return Err(r.malformed());
             }
         }

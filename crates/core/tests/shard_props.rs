@@ -462,3 +462,23 @@ fn shrinker_reports_minimal_diverging_programs() {
     assert!(matches!(minimal[0], Op::NewRegion));
     assert!(matches!(minimal[1], Op::Delete { .. }));
 }
+
+#[test]
+fn default_runtime_on_a_shard_materializes_no_stack_page() {
+    // The stack is mapped at construction; like an OS page, each of its
+    // pages costs nothing until written.
+    let space = SharedSpace::new(SpaceConfig { max_bytes: 8 << 20, workers: 2 });
+    let mut rt = RegionRuntime::with_config_on(RegionConfig::default(), space.shard(0));
+    let stack_pages = RegionConfig::default().stack_pages;
+    assert_eq!(rt.heap().allocated_pages(), stack_pages);
+    assert_eq!(rt.heap().materialized_pages(), 0, "no stack page was born");
+    let d = rt.register_type(TypeDescriptor::new("node", 16, vec![8]));
+    let r = rt.new_region();
+    let a = rt.ralloc(r, d);
+    rt.heap_mut().store_u32(a, 1);
+    assert!(rt.heap().allocated_pages() > stack_pages);
+    assert!(
+        rt.heap().materialized_pages() <= rt.heap().allocated_pages() - stack_pages,
+        "only pages above the stack were born"
+    );
+}

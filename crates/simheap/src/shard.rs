@@ -22,9 +22,15 @@
 //! Shared state is kept safe-Rust-concurrent the same way
 //! `region_core::par` keeps its books: the global page table is a
 //! `Mutex<Vec<Option<Arc<[AtomicU32]>>>>` touched only on page birth
-//! (sbrk) and host-side audits, while the hot word traffic goes through
-//! the per-page atomics. Pages are never uninstalled while the space
-//! lives, so a reader's cached `Arc` can never dangle. The page→region
+//! and host-side audits, while the hot word traffic goes through the
+//! per-page atomics. Like an OS page, a shard page costs nothing until
+//! it is first written: `sbrk` only advances the shard's break, which
+//! it publishes in a per-worker atomic, and the first store to a page
+//! creates it and installs it in the table. A page is *mapped* iff it
+//! lies below its owner's published break; a mapped page nobody wrote
+//! reads as zero. Pages are never uninstalled while the space lives
+//! (short of the owner's `reset_with`), so a reader's cached `Arc`
+//! can never dangle. The page→region
 //! *mirror* is a flat `Vec<AtomicU32>` over absolute page indices,
 //! published by the owner on every page-map write (see
 //! [`crate::HeapBackend::publish_page_owner`]) and encoded as
@@ -89,8 +95,12 @@ pub struct SharedSpace {
     workers: u32,
     span_pages: u32,
     /// Absolute page index → installed page. Slot 0 (the guard page) is
-    /// permanently `None`. Locked only on page birth and host audits.
+    /// permanently `None`; a mapped page is installed on its first write.
+    /// Locked only on page birth and host audits.
     table: Mutex<Vec<Option<PageArc>>>,
+    /// Worker → published break, in pages from the worker's base page.
+    /// The pages below it are mapped, written or not.
+    breaks: Vec<AtomicU32>,
     /// Absolute page index → `(worker + 1) << 24 | cell` ownership
     /// mirror (0 = unowned), published by owners, readable lock-free.
     mirror: Vec<AtomicU32>,
@@ -136,6 +146,7 @@ impl SharedSpace {
             workers: config.workers,
             span_pages,
             table: Mutex::new(vec![None; slots]),
+            breaks: (0..config.workers).map(|_| AtomicU32::new(0)).collect(),
             mirror: (0..slots).map(|_| AtomicU32::new(0)).collect(),
             claimed: Mutex::new(vec![false; config.workers as usize]),
         })
@@ -167,6 +178,20 @@ impl SharedSpace {
         1 + worker * self.span_pages
     }
 
+    /// `true` if `page_index` lies below its owner's published break.
+    /// The guard page and indices past the space are never mapped.
+    fn is_mapped(&self, page_index: u32) -> bool {
+        if page_index == 0 || page_index >= self.total_pages() {
+            return false;
+        }
+        let owner = (page_index - 1) / self.span_pages;
+        page_index - self.base_page(owner) < self.breaks[owner as usize].load(Ordering::Acquire)
+    }
+
+    fn publish_break(&self, worker: u32, pages: u32) {
+        self.breaks[worker as usize].store(pages, Ordering::Release);
+    }
+
     fn claim(&self, worker: u32) {
         assert!(worker < self.workers, "worker {worker} out of range");
         let mut claimed = lock(&self.claimed);
@@ -196,14 +221,16 @@ impl SharedSpace {
         }
     }
 
-    /// Rebinds a shard handle onto pages already installed in the table
-    /// — the world-restore path. The first `allocated_pages` slots of
-    /// `worker`'s span must be installed; counters and the fault budget
-    /// are adopted as given.
+    /// Rebinds a shard handle onto the first `allocated_pages` pages of
+    /// `worker`'s span — the world-restore path. Pages already installed
+    /// in the table are adopted; the rest read as zero until written.
+    /// The break is published; counters and the fault budget are adopted
+    /// as given.
     ///
     /// # Panics
     ///
-    /// Panics on a double claim or if an expected page is missing.
+    /// Panics on a double claim or if `allocated_pages` overflows the
+    /// span.
     pub fn adopt_shard(
         self: &Arc<Self>,
         worker: u32,
@@ -215,15 +242,8 @@ impl SharedSpace {
         self.claim(worker);
         let base = self.base_page(worker);
         assert!(allocated_pages <= self.span_pages, "adopted shard overflows its span");
-        let table = lock(&self.table);
-        let local: Vec<PageArc> = (0..allocated_pages)
-            .map(|i| {
-                table[(base + i) as usize]
-                    .clone()
-                    .unwrap_or_else(|| panic!("adopt_shard: page {} not installed", base + i))
-            })
-            .collect();
-        drop(table);
+        let local = lock(&self.table)[base as usize..(base + allocated_pages) as usize].to_vec();
+        self.publish_break(worker, allocated_pages);
         HeapShard {
             space: Arc::clone(self),
             worker,
@@ -252,12 +272,18 @@ impl SharedSpace {
         table[page_index as usize] = Some(page);
     }
 
-    /// The words of an installed page, or `None` for an unmapped slot.
-    /// Host-side (capture/audit): charges nothing, traces nothing. Only
-    /// meaningful while no worker is concurrently mutating the page.
+    /// The words of a mapped page (all zero if nobody wrote it yet), or
+    /// `None` for an unmapped slot. Host-side (capture/audit): charges
+    /// nothing, traces nothing. Only meaningful while no worker is
+    /// concurrently mutating the page.
     pub fn page_snapshot(&self, page_index: u32) -> Option<Vec<u32>> {
-        let page = lock(&self.table).get(page_index as usize)?.clone()?;
-        Some(page.iter().map(|w| w.load(Ordering::Acquire)).collect())
+        if !self.is_mapped(page_index) {
+            return None;
+        }
+        Some(match lock(&self.table)[page_index as usize].clone() {
+            Some(page) => page.iter().map(|w| w.load(Ordering::Acquire)).collect(),
+            None => vec![0; PAGE_WORDS],
+        })
     }
 
     /// The ownership-mirror entry for an absolute page index
@@ -290,10 +316,12 @@ pub struct HeapShard {
     space: Arc<SharedSpace>,
     worker: u32,
     base_page: u32,
-    /// Pages of this shard, contiguous from `base_page` (sbrk appends).
-    local: Vec<PageArc>,
-    /// Cache of foreign pages this worker has read. Pages are never
-    /// uninstalled while the space lives, so entries can't go stale.
+    /// Pages of this shard, contiguous from `base_page`: one slot per
+    /// page below the break (sbrk appends `None`), filled on first write.
+    local: Vec<Option<PageArc>>,
+    /// Cache of the installed foreign pages this worker has read. Pages
+    /// are never uninstalled while the space lives, so entries can't go
+    /// stale.
     remote: RefCell<BTreeMap<u32, PageArc>>,
     fault_after: Option<u64>,
     loads: u64,
@@ -328,6 +356,12 @@ impl HeapShard {
     /// Pages this shard has obtained from the shared sbrk.
     pub fn allocated_pages(&self) -> u32 {
         self.local.len() as u32
+    }
+
+    /// Pages of this shard that have been written, and so exist on the
+    /// host; the rest of the mapped pages read as zero.
+    pub fn materialized_pages(&self) -> u32 {
+        self.local.iter().filter(|p| p.is_some()).count() as u32
     }
 
     /// The space this shard belongs to.
@@ -389,7 +423,7 @@ impl HeapShard {
             );
         } else {
             assert!(
-                self.resolve_remote(page).is_some(),
+                self.space.is_mapped(page),
                 "simulated segfault: {what} of {size} bytes at {addr} (unmapped in shared space)"
             );
         }
@@ -399,42 +433,53 @@ impl HeapShard {
         );
     }
 
-    /// Looks up a foreign page, filling the remote cache on a miss.
+    /// Looks up an installed foreign page, filling the remote cache on a
+    /// miss. `None` for a mapped page its owner has not written yet.
     fn resolve_remote(&self, page: u32) -> Option<PageArc> {
         if let Some(p) = self.remote.borrow().get(&page) {
             return Some(Arc::clone(p));
         }
-        let p = lock(&self.space.table).get(page as usize)?.clone()?;
+        let p = lock(&self.space.table)[page as usize].clone()?;
         self.remote.borrow_mut().insert(page, Arc::clone(&p));
         Some(p)
     }
 
-    /// The atomic word backing `addr`, assuming [`HeapShard::check`]
-    /// already passed.
-    fn word(&self, addr: Addr) -> PageArc {
-        let page = addr.page_index();
-        if self.in_own_span(page) {
-            Arc::clone(&self.local[(page - self.base_page) as usize])
-        } else {
-            self.resolve_remote(page).expect("checked above")
-        }
-    }
-
+    /// The word at `addr`, assuming [`HeapShard::check`] already passed.
+    /// A page nobody wrote reads as zero.
     #[inline]
     fn read_word(&self, addr: Addr) -> u32 {
         let page = addr.page_index();
         let w = (addr.page_offset() / WORD) as usize;
         if self.in_own_span(page) {
-            self.local[(page - self.base_page) as usize][w].load(Ordering::Relaxed)
+            self.local[(page - self.base_page) as usize]
+                .as_ref()
+                .map_or(0, |p| p[w].load(Ordering::Relaxed))
         } else {
-            self.word(addr)[w].load(Ordering::Relaxed)
+            self.resolve_remote(page).map_or(0, |p| p[w].load(Ordering::Relaxed))
         }
     }
 
     #[inline]
-    fn write_word(&self, addr: Addr, value: u32) {
-        let page = (addr.page_index() - self.base_page) as usize;
-        self.local[page][(addr.page_offset() / WORD) as usize].store(value, Ordering::Relaxed);
+    fn write_word(&mut self, addr: Addr, value: u32) {
+        let i = (addr.page_index() - self.base_page) as usize;
+        if self.local[i].is_none() {
+            self.materialize(i);
+        }
+        let page = self.local[i].as_ref().expect("materialized above");
+        page[(addr.page_offset() / WORD) as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// Page birth: creates own page `i` (zeroed) on its first write and
+    /// installs it in the shared table for other workers' reads.
+    #[cold]
+    fn materialize(&mut self, i: usize) {
+        let page = new_page();
+        let slot = self.base_page as usize + i;
+        let mut table = lock(&self.space.table);
+        debug_assert!(table[slot].is_none(), "an unwritten page was already installed");
+        table[slot] = Some(Arc::clone(&page));
+        drop(table);
+        self.local[i] = Some(page);
     }
 }
 
@@ -468,14 +513,9 @@ impl HeapBackend for HeapShard {
             };
             return Err(HeapError::OutOfMemory { requested: new_len, limit });
         }
-        let mut table = lock(&self.space.table);
-        for i in 0..pages {
-            let page = new_page();
-            let slot = (self.base_page + allocated + i) as usize;
-            debug_assert!(table[slot].is_none(), "sbrk found an occupied slot");
-            table[slot] = Some(Arc::clone(&page));
-            self.local.push(page);
-        }
+        // Mapping is only a break move: pages are born on first write.
+        self.local.resize((allocated + pages) as usize, None);
+        self.space.publish_break(self.worker, allocated + pages);
         Ok(old)
     }
 
@@ -487,10 +527,14 @@ impl HeapBackend for HeapShard {
         // The span is fixed by the space; `config.max_bytes` is the
         // *private-heap* limit and is ignored here — shard capacity is
         // `span_pages`. The fault budget carries over as configured.
+        self.space.publish_break(self.worker, 0);
         let mut table = lock(&self.space.table);
-        for (i, _) in self.local.iter().enumerate() {
-            table[(self.base_page + i as u32) as usize] = None;
-            self.space.mirror[(self.base_page + i as u32) as usize].store(0, Ordering::Release);
+        for (i, page) in self.local.iter().enumerate() {
+            let slot = self.base_page as usize + i;
+            if page.is_some() {
+                table[slot] = None;
+            }
+            self.space.mirror[slot].store(0, Ordering::Release);
         }
         drop(table);
         self.local.clear();
@@ -645,7 +689,7 @@ impl HeapBackend for HeapShard {
 
 impl HeapShard {
     /// Read-modify-writes one byte of an owned word (fill edges).
-    fn write_byte(&self, addr: Addr, byte: u8) {
+    fn write_byte(&mut self, addr: Addr, byte: u8) {
         let word_addr = Addr::new(addr.raw() & !(WORD - 1));
         let shift = (addr.raw() % WORD) * 8;
         let old = self.read_word(word_addr);
@@ -753,6 +797,52 @@ mod tests {
         assert_eq!(SharedSpace::decode_mirror(enc), Some((2, 7)));
         s.publish_page_owner(p.page_index(), 0);
         assert_eq!(space.mirror_entry(p.page_index()), 0);
+    }
+
+    #[test]
+    fn unwritten_mapped_pages_read_zero_without_materializing() {
+        let space = SharedSpace::new(SpaceConfig { max_bytes: 1 << 20, workers: 2 });
+        let mut a = space.shard(0);
+        let mut b = space.shard(1);
+        let pa = a.try_sbrk_pages(2).unwrap();
+        b.try_sbrk_pages(1).unwrap();
+        assert_eq!(a.load_u32(pa + 8), 0, "own unwritten page reads zero");
+        assert_eq!(b.load_u32(pa + PAGE_SIZE), 0, "foreign unwritten page reads zero");
+        assert_eq!((a.load_count(), b.load_count()), (1, 1), "each read charges one load");
+        assert_eq!(a.materialized_pages(), 0, "reads do not create pages");
+        assert_eq!(space.page_snapshot(pa.page_index()), Some(vec![0; PAGE_WORDS]));
+        assert!(space.page_snapshot(pa.page_index() + 2).is_none(), "past the break");
+        a.store_u32(pa + PAGE_SIZE, 5);
+        assert_eq!(a.materialized_pages(), 1, "the first write creates the page");
+        assert_eq!(b.load_u32(pa + PAGE_SIZE), 5, "and installs it for foreign reads");
+    }
+
+    #[test]
+    #[should_panic(expected = "unmapped in shared space")]
+    fn foreign_reads_past_the_owners_break_fault() {
+        let space = SharedSpace::new(SpaceConfig { max_bytes: 1 << 20, workers: 2 });
+        let mut a = space.shard(0);
+        let mut b = space.shard(1);
+        let pa = a.try_sbrk_pages(1).unwrap();
+        b.try_sbrk_pages(1).unwrap();
+        b.load_u32(pa + PAGE_SIZE);
+    }
+
+    #[test]
+    fn reset_unpublishes_the_break() {
+        let space = SharedSpace::new(SpaceConfig { max_bytes: 1 << 20, workers: 2 });
+        let mut a = space.shard(0);
+        let pa = a.try_sbrk_pages(3).unwrap();
+        a.store_u32(pa, 1);
+        assert!(space.is_mapped(pa.page_index() + 2));
+        a.reset_with(HeapConfig::default());
+        for p in 0..3 {
+            assert!(!space.is_mapped(pa.page_index() + p), "page {p} still mapped");
+            assert!(space.page_snapshot(pa.page_index() + p).is_none());
+        }
+        let again = a.try_sbrk_pages(1).unwrap();
+        assert_eq!(again, pa, "the break restarts at the shard base");
+        assert_eq!(a.load_u32(again), 0, "a reset page is born anew");
     }
 
     #[test]

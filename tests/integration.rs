@@ -243,3 +243,82 @@ fn cfrac_agrees_across_rotations_at_larger_scale() {
     let r = Workload::Cfrac.run_region(&mut RegionEnv::new(RegionKind::Unsafe), 2);
     assert_eq!(m, r);
 }
+
+/// A short region-op script: allocation, data and pointer stores
+/// through every barrier kind, a stack frame holding a reference, a
+/// blocked delete, then teardown. Returns what a caller sees.
+fn region_script<H: explicit_regions::simheap::HeapBackend>(
+    rt: &mut explicit_regions::region_core::RegionRuntime<H>,
+) -> Vec<u64> {
+    use explicit_regions::region_core::TypeDescriptor;
+    use explicit_regions::simheap::Addr;
+
+    let pair = rt.register_type(TypeDescriptor::new("pair", 8, vec![4]));
+    let (a, b) = (rt.new_region(), rt.new_region());
+    let globals = rt.alloc_globals(8);
+    let mut seen = Vec::new();
+    let (mut last_a, mut last_b) = (Addr::NULL, Addr::NULL);
+    for i in 0..40u32 {
+        // b's objects chain within b; a's point into a or across to b.
+        let in_b = i % 3 == 0;
+        let x = rt.ralloc(if in_b { b } else { a }, pair);
+        rt.heap_mut().store_u32(x, i);
+        rt.store_ptr_unknown(x + 4, if in_b || i % 2 == 0 { last_b } else { last_a });
+        if in_b {
+            last_b = x;
+        } else {
+            last_a = x;
+        }
+        seen.push(u64::from(x.raw()));
+    }
+    let arr = rt.rarrayalloc(b, 9, pair);
+    let s = rt.rstralloc(a, 37);
+    rt.heap_mut().store_u32(s, 0xfeed);
+    rt.store_ptr_global(globals, arr);
+    seen.push(rt.region_of(s).map_or(0, |r| u64::from(r.index()) + 1));
+    rt.push_frame(2);
+    rt.set_local(1, last_b);
+    seen.push(u64::from(rt.delete_region(b)));
+    rt.store_ptr_global(globals, Addr::NULL);
+    rt.pop_frame();
+    seen.push(u64::from(rt.delete_region(a)));
+    seen.push(u64::from(rt.delete_region(b)));
+    seen
+}
+
+/// Tier-1 smoke of the sharded heap: a runtime on the single shard of a
+/// one-worker `SharedSpace` matches one on a private `SimHeap` book for
+/// book, and a two-worker world whose stack pages were never written
+/// survives capture → restore → re-capture byte for byte.
+#[test]
+fn shard_matches_private_heap_and_unwritten_world_round_trips() {
+    use explicit_regions::region_core::{capture_world, restore_world, RegionConfig, RegionRuntime};
+    use explicit_regions::simheap::{HeapBackend, HeapShard, SharedSpace, SpaceConfig};
+
+    let mut private = RegionRuntime::new_safe();
+    let space = SharedSpace::new(SpaceConfig::default());
+    let mut shard = RegionRuntime::with_config_on(RegionConfig::default(), space.shard(0));
+    let seen = region_script(&mut private);
+    assert_eq!(seen[seen.len() - 3..], [0, 1, 1], "b blocked, then both deleted");
+    assert_eq!(region_script(&mut shard), seen);
+    assert_eq!(private.stats(), shard.stats());
+    assert_eq!(private.costs(), shard.costs());
+    assert_eq!(private.heap().load_count(), shard.heap().load_count());
+    assert_eq!(private.heap().store_count(), shard.heap().store_count());
+    assert!(shard.sanitize().is_clean());
+
+    let space = SharedSpace::new(SpaceConfig { max_bytes: 4 << 20, workers: 2 });
+    let mut runtimes: Vec<RegionRuntime<HeapShard>> = (0..2)
+        .map(|w| RegionRuntime::with_config_on(RegionConfig::default(), space.shard(w)))
+        .collect();
+    let rt = &mut runtimes[1];
+    let r = rt.new_region();
+    let x = rt.rstralloc(r, 64);
+    rt.heap_mut().store_u32(x, 7);
+    assert_eq!(runtimes[0].heap().materialized_pages(), 0, "worker 0 never wrote a page");
+    let refs: Vec<&RegionRuntime<HeapShard>> = runtimes.iter().collect();
+    let bytes = capture_world(&space, &refs);
+    let world = restore_world(&bytes).expect("a captured world restores");
+    let refs: Vec<&RegionRuntime<HeapShard>> = world.runtimes.iter().collect();
+    assert_eq!(capture_world(&world.space, &refs), bytes, "re-capture is byte-identical");
+}
