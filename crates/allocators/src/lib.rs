@@ -35,6 +35,8 @@ pub use emulation::{EmuRegionId, EmulatedRegions};
 pub use lea::LeaMalloc;
 pub use sun::SunMalloc;
 
+use std::time::Duration;
+
 use region_core::AllocStats;
 use simheap::{Addr, SimHeap};
 
@@ -79,6 +81,14 @@ pub trait RawMalloc {
     /// Registers a range of global storage the collector must treat as
     /// roots (no-op unless collecting).
     fn add_global_roots(&mut self, _start: Addr, _len: u32) {}
+
+    /// Wall time spent in collections so far (zero unless collecting).
+    /// A collection is timed once, as a whole, by the collector itself,
+    /// so a caller that samples `malloc` can subtract it from the sample
+    /// and charge it exactly.
+    fn collect_time(&self) -> Duration {
+        Duration::ZERO
+    }
 }
 
 impl<T: RawMalloc + ?Sized> RawMalloc for Box<T> {
@@ -108,6 +118,9 @@ impl<T: RawMalloc + ?Sized> RawMalloc for Box<T> {
     }
     fn add_global_roots(&mut self, start: Addr, len: u32) {
         (**self).add_global_roots(start, len)
+    }
+    fn collect_time(&self) -> Duration {
+        (**self).collect_time()
     }
 }
 

@@ -305,6 +305,7 @@ fn main() {
                 allocator: mode_name,
                 total: rec.total,
                 mem: Duration::ZERO,
+                mem_estimate_ns: None,
                 os_pages: rec.data_pages,
                 stats: rec.stats,
                 inner_stats: None,

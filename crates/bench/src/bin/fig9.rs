@@ -49,6 +49,14 @@ fn main() {
         assert_eq!(s.checksum, p.checksum, "{cell}: checksum perturbed by parallelism");
         assert_eq!(s.stats, p.stats, "{cell}: alloc stats perturbed by parallelism");
     }
+    // The memory share is an estimate (DESIGN §18). Before its bound it
+    // must be positive and within the cell's total: otherwise the base
+    // share would be negative and the clock is broken.
+    for m in rows.iter().chain(&par_rows) {
+        if let Err(e) = m.check_mem_clock() {
+            panic!("{e}");
+        }
+    }
 
     println!("Figure 9: execution time, total ms (memory-management ms), scale {scale}");
     println!(

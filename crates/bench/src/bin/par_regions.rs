@@ -357,6 +357,7 @@ fn measurement(label: &'static str, m: &RunResult) -> Measurement {
         allocator: label,
         total: m.elapsed,
         mem: m.elapsed,
+        mem_estimate_ns: None,
         os_pages: 0,
         stats: region_core::AllocStats {
             total_allocs: m.ops,

@@ -36,6 +36,7 @@ fn measurement(label: &'static str, r: &ServiceReport) -> Measurement {
         allocator: label,
         total: r.elapsed,
         mem: r.elapsed,
+        mem_estimate_ns: None,
         os_pages: r.high_water_pages,
         stats: region_core::AllocStats {
             total_allocs: r.ledger.completed,

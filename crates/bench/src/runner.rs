@@ -49,6 +49,9 @@ pub struct Measurement {
     pub total: Duration,
     /// Time inside memory management (the "memory" share of Figure 9).
     pub mem: Duration,
+    /// Figure 9's memory clock before its bound, in nanoseconds (`None`
+    /// where no memory clock ran); see [`Measurement::check_mem_clock`].
+    pub mem_estimate_ns: Option<i64>,
     /// Pages requested from the OS (Figure 8).
     pub os_pages: u64,
     /// Allocation statistics (Tables 2/3).
@@ -67,6 +70,25 @@ impl Measurement {
     /// The "base" share of Figure 9.
     pub fn base(&self) -> Duration {
         self.total.saturating_sub(self.mem)
+    }
+
+    /// Checks the memory clock's unbounded estimate (DESIGN §18): it must
+    /// be positive and no more than the run's total, or the base share
+    /// would be negative. `mem` is bounded by the run's wall time, so
+    /// only the unbounded estimate can show a broken clock.
+    pub fn check_mem_clock(&self) -> Result<(), String> {
+        let Some(ns) = self.mem_estimate_ns else { return Ok(()) };
+        let total = self.total.as_nanos() as i64;
+        if 0 < ns && ns <= total {
+            return Ok(());
+        }
+        Err(format!(
+            "{}/{}: memory estimate {:.3} ms is outside (0, total {:.3} ms]",
+            self.workload,
+            self.allocator,
+            ns as f64 / 1e6,
+            total as f64 / 1e6
+        ))
     }
 }
 
@@ -92,8 +114,9 @@ pub fn measure_malloc_on(
     }
     let t = Instant::now();
     let checksum = w.run_malloc(&mut env, scale);
+    // Read before `total`: the memory clock's bound then falls inside it.
+    let (mem, mem_estimate_ns) = (env.mem_time(), env.mem_estimate_ns());
     let total = t.elapsed();
-    let mem = env.mem_time();
     let os_pages = env.os_pages();
     let stats = *env.stats();
     let mut heap = env.into_heap();
@@ -108,6 +131,7 @@ pub fn measure_malloc_on(
         allocator: kind.name(),
         total,
         mem,
+        mem_estimate_ns: Some(mem_estimate_ns),
         os_pages,
         stats,
         inner_stats: None,
@@ -198,8 +222,8 @@ fn run_region_elide(
     }
     let t = Instant::now();
     let checksum = run(&mut env);
+    let (mem, mem_estimate_ns) = (env.mem_time(), env.mem_estimate_ns());
     let total = t.elapsed();
-    let mem = env.mem_time();
     let os_pages = env.os_pages();
     let stats = *env.stats();
     let inner_stats = env.emulation_inner_stats().copied();
@@ -225,6 +249,7 @@ fn run_region_elide(
         allocator: kind.name(),
         total,
         mem,
+        mem_estimate_ns: Some(mem_estimate_ns),
         os_pages,
         stats,
         inner_stats,
@@ -679,6 +704,9 @@ mod tests {
         let b = measure_region(Workload::Tile, RegionKind::Safe, 1, false);
         assert_eq!(a.checksum, b.checksum);
         assert!(a.total >= a.mem);
+        assert!(b.total >= b.mem);
+        a.check_mem_clock().unwrap();
+        b.check_mem_clock().unwrap();
         assert!(a.os_pages > 0);
         assert!(b.costs.is_some());
         assert!(a.costs.is_none());

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use malloc_suite::RawMalloc;
 use region_core::AllocStats;
@@ -90,6 +91,7 @@ pub struct BoehmGc {
     bytes_since_gc: u64,
     threshold: u64,
     collections: u64,
+    collect_time: Duration,
     os_pages: u64,
     stats: AllocStats,
 }
@@ -110,6 +112,7 @@ impl BoehmGc {
             bytes_since_gc: 0,
             threshold: MIN_THRESHOLD,
             collections: 0,
+            collect_time: Duration::ZERO,
             os_pages: u64::from(ROOT_PAGES),
             stats: AllocStats::default(),
         }
@@ -201,6 +204,7 @@ impl BoehmGc {
 
     /// Runs a full mark–sweep collection.
     pub fn collect(&mut self, heap: &mut SimHeap) {
+        let t = Instant::now();
         self.collections += 1;
         // Clear marks.
         for kind in self.pages.values_mut() {
@@ -302,6 +306,7 @@ impl BoehmGc {
         }
         self.bytes_since_gc = 0;
         self.threshold = self.stats.live_bytes.max(MIN_THRESHOLD);
+        self.collect_time += t.elapsed();
     }
 
     fn carve_page(&mut self, heap: &mut SimHeap, class: u32) {
@@ -414,6 +419,10 @@ impl RawMalloc for BoehmGc {
 
     fn add_global_roots(&mut self, start: Addr, len: u32) {
         self.global_roots.push((start, len));
+    }
+
+    fn collect_time(&self) -> Duration {
+        self.collect_time
     }
 }
 

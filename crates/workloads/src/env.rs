@@ -4,8 +4,9 @@
 //! a malloc/free version (run against Sun, BSD, Lea and the collector —
 //! [`MallocEnv`]) and a region version (run against the safe runtime,
 //! the unsafe runtime, and malloc-backed emulation — [`RegionEnv`]).
-//! The environments accumulate the wall-clock time spent inside memory
-//! management, which becomes the "memory" share of Figure 9.
+//! Both environments measure the wall-clock time spent inside memory
+//! management with one `MemClock`; that time becomes the "memory" share
+//! of Figure 9.
 
 use std::time::{Duration, Instant};
 
@@ -13,6 +14,188 @@ use conservative_gc::BoehmGc;
 use malloc_suite::{BsdMalloc, EmuRegionId, EmulatedRegions, LeaMalloc, RawMalloc, SunMalloc};
 use region_core::{AllocStats, RegionConfig, RegionId, RegionRuntime, SafetyMode, TypeDescriptor};
 use simheap::{Addr, SimHeap};
+
+/// Mean number of sampled-stratum calls per timed call.
+const SAMPLE_PERIOD: u64 = 32;
+
+/// Seed of every clock's sampling schedule: fixed, so the same call
+/// sequence always times the same calls.
+const SCHEDULE_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A sampled call does at most a page of work: on a 2-vCPU x86-64 VM,
+/// fewer than one sample in ten thousand took 4 µs or more. A sample
+/// longer than this was interrupted (the thread was descheduled or
+/// served an interrupt), and scaling it by the period would charge the
+/// interruption 32 times, so it is discarded: the call still counts and
+/// is charged the mean of the kept samples.
+const INTERRUPTED_NS: i64 = 5_000;
+
+/// An empty clock read takes tens of nanoseconds. One that took this
+/// much longer than the fastest seen so far was interrupted, and says
+/// nothing about the clock's latency (DESIGN §18).
+const READ_SLACK_NS: i64 = 1_000;
+
+/// How a call is timed (DESIGN §18).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Stratum {
+    /// Frequent, bounded-cost calls: one in [`SAMPLE_PERIOD`] is timed.
+    Sampled,
+    /// Calls that can be arbitrarily expensive: every one is timed.
+    Exact,
+}
+
+/// Figure 9's memory-management timer, shared by [`MallocEnv`] and
+/// [`RegionEnv`] so every column is measured with the same instrument.
+///
+/// Calls fall into two strata (DESIGN §18):
+///
+/// * **sampled** — frequent calls of bounded cost (the real runtime's
+///   `ralloc`, `rstralloc` and barriers; `malloc`/`free`). One call in
+///   [`SAMPLE_PERIOD`] on average is timed, on a private xorshift
+///   schedule; the estimate is the kept samples' mean × the exact call
+///   count. A clock read costs more than most of these calls, so timing
+///   every one would make the instrument the larger part of the run.
+/// * **exact** — calls that can be arbitrarily expensive (region
+///   creation and deletion, array allocations, frame pops that
+///   unscan, every emulated-backend call). Each one is timed, so a rare
+///   heavy call can never be sampled away or multiplied by the period.
+///
+/// Every timed call is corrected for the clock's own latency by an
+/// empty read just before it: `(t2 − t1) − (t1 − t0)`. A sample whose
+/// call or empty read was interrupted is discarded; an exact call whose
+/// empty read was interrupted is corrected by the fastest read seen
+/// instead. The reported time never exceeds the wall time since the
+/// first timed call; the unbounded estimate is kept for the harness to
+/// check.
+struct MemClock {
+    /// When the first timed call started; `None` before it.
+    first: Option<Instant>,
+    /// Sampled-stratum calls, and how many timed ones were kept.
+    calls: u64,
+    samples: u64,
+    /// Calls until the next timed one (1 = the next call).
+    countdown: u64,
+    rng: u64,
+    /// Latency-corrected nanoseconds of the kept samples.
+    sampled_ns: i64,
+    /// Exact-stratum calls and their latency-corrected nanoseconds.
+    exact_calls: u64,
+    exact_ns: i64,
+    /// The fastest empty read seen so far.
+    min_read: i64,
+}
+
+impl MemClock {
+    fn new() -> MemClock {
+        let mut clock = MemClock {
+            first: None,
+            calls: 0,
+            samples: 0,
+            countdown: 0,
+            rng: SCHEDULE_SEED,
+            sampled_ns: 0,
+            exact_calls: 0,
+            exact_ns: 0,
+            min_read: i64::MAX,
+        };
+        clock.countdown = clock.gap();
+        clock
+    }
+
+    /// The next gap between timed calls, uniform on `1..2·SAMPLE_PERIOD`.
+    fn gap(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        1 + self.rng % (2 * SAMPLE_PERIOD - 1)
+    }
+
+    /// Counts a call; `true` if it is to be timed.
+    #[inline]
+    fn start(&mut self, stratum: Stratum) -> bool {
+        if stratum == Stratum::Exact {
+            self.first.get_or_insert_with(Instant::now);
+            return true;
+        }
+        self.calls += 1;
+        self.countdown -= 1;
+        if self.countdown > 0 {
+            return false;
+        }
+        self.countdown = self.gap();
+        self.first.get_or_insert_with(Instant::now);
+        true
+    }
+
+    /// Charges a timed call, corrected for the clock's latency.
+    fn charge(&mut self, stratum: Stratum, t: Timing) {
+        self.min_read = self.min_read.min(t.read);
+        let read_ok = t.read <= self.min_read.saturating_add(READ_SLACK_NS);
+        match stratum {
+            Stratum::Exact => {
+                self.exact_calls += 1;
+                self.exact_ns += t.call - if read_ok { t.read } else { self.min_read };
+            }
+            Stratum::Sampled if read_ok && t.call <= INTERRUPTED_NS => {
+                self.samples += 1;
+                self.sampled_ns += t.call - t.read;
+            }
+            Stratum::Sampled => {}
+        }
+    }
+
+    /// Runs a call, timing it if its stratum and the schedule say so.
+    #[inline]
+    fn time<R>(&mut self, stratum: Stratum, f: impl FnOnce() -> R) -> R {
+        if !self.start(stratum) {
+            return f();
+        }
+        let (r, t) = probe(f);
+        self.charge(stratum, t);
+        r
+    }
+
+    /// The estimated nanoseconds inside memory management, plus
+    /// `collected` (collections timed by the allocator itself), before
+    /// any bound. A sound clock keeps this above zero and within the
+    /// wall time of the run; the harness checks both.
+    fn estimate_ns(&self, collected: Duration) -> i64 {
+        let sampled = match self.samples {
+            0 => 0.0,
+            n => self.sampled_ns as f64 * (self.calls as f64 / n as f64),
+        };
+        self.exact_ns + sampled as i64 + nanos(collected)
+    }
+
+    /// [`MemClock::estimate_ns`] bounded to zero and to the wall time
+    /// since the first timed call, so it is always a share of the run.
+    fn estimate(&self, collected: Duration) -> Duration {
+        let ns = Duration::from_nanos(self.estimate_ns(collected).max(0) as u64);
+        ns.min(self.first.map_or(Duration::ZERO, |t| t.elapsed()))
+    }
+}
+
+/// One timed call: the call's own interval and the empty read before it.
+#[derive(Clone, Copy)]
+struct Timing {
+    call: i64,
+    read: i64,
+}
+
+/// Runs `f` between clock reads `t1` and `t2`, with an empty read `t0`
+/// just before, so the clock's latency can be taken out in situ.
+#[inline(always)]
+fn probe<R>(f: impl FnOnce() -> R) -> (R, Timing) {
+    let t0 = Instant::now();
+    let t1 = Instant::now();
+    let r = f();
+    let t2 = Instant::now();
+    (r, Timing { call: nanos(t2 - t1), read: nanos(t1 - t0) })
+}
+
+fn nanos(d: Duration) -> i64 {
+    d.as_nanos() as i64
+}
 
 /// Which malloc/free implementation a [`MallocEnv`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,7 +230,7 @@ pub struct MallocEnv {
     heap: SimHeap,
     alloc: Box<dyn RawMalloc>,
     kind: MallocKind,
-    mem_time: Duration,
+    clock: MemClock,
 }
 
 impl MallocEnv {
@@ -67,7 +250,7 @@ impl MallocEnv {
             MallocKind::Lea => Box::new(LeaMalloc::new()),
             MallocKind::Gc => Box::new(BoehmGc::new(&mut heap)),
         };
-        MallocEnv { heap, alloc, kind, mem_time: Duration::ZERO }
+        MallocEnv { heap, alloc, kind, clock: MemClock::new() }
     }
 
     /// Which allocator this is.
@@ -77,17 +260,23 @@ impl MallocEnv {
 
     /// Allocates `size` bytes (timed as memory-management work).
     pub fn malloc(&mut self, size: u32) -> Addr {
-        let t = Instant::now();
-        let a = self.alloc.malloc(&mut self.heap, size);
-        self.mem_time += t.elapsed();
+        let (alloc, heap) = (&mut self.alloc, &mut self.heap);
+        if !self.clock.start(Stratum::Sampled) {
+            return alloc.malloc(heap, size);
+        }
+        // A collection this call runs is charged exactly by
+        // `mem_time`, so it is taken out of the call's time.
+        let collected = alloc.collect_time();
+        let (a, mut t) = probe(|| alloc.malloc(heap, size));
+        t.call -= nanos(alloc.collect_time() - collected);
+        self.clock.charge(Stratum::Sampled, t);
         a
     }
 
     /// Frees a block (no-op under GC).
     pub fn free(&mut self, ptr: Addr) {
-        let t = Instant::now();
-        self.alloc.free(&mut self.heap, ptr);
-        self.mem_time += t.elapsed();
+        let (alloc, heap) = (&mut self.alloc, &mut self.heap);
+        self.clock.time(Stratum::Sampled, || alloc.free(heap, ptr));
     }
 
     /// The underlying heap, for data loads/stores.
@@ -117,9 +306,17 @@ impl MallocEnv {
         self.alloc.pop_roots(&mut self.heap);
     }
 
-    /// Time spent inside the allocator so far.
+    /// Time spent inside the allocator so far: the `MemClock` estimate
+    /// plus every collection, timed in full, bounded by the wall time.
     pub fn mem_time(&self) -> Duration {
-        self.mem_time
+        self.clock.estimate(self.alloc.collect_time())
+    }
+
+    /// [`MallocEnv::mem_time`] before its bound, in nanoseconds, for
+    /// checking the clock: a sound estimate is positive and no more than
+    /// the run's wall time.
+    pub fn mem_estimate_ns(&self) -> i64 {
+        self.clock.estimate_ns(self.alloc.collect_time())
     }
 
     /// Allocator statistics (Table 3).
@@ -181,7 +378,7 @@ enum RegionBackend {
 pub struct RegionEnv {
     backend: RegionBackend,
     kind: RegionKind,
-    mem_time: Duration,
+    clock: MemClock,
     /// Whether [`RegionEnv::store_ptr_region_same`] actually elides its
     /// barrier (off by default, so published counters reproduce).
     elide: bool,
@@ -223,7 +420,7 @@ impl RegionEnv {
         RegionEnv {
             backend,
             kind,
-            mem_time: Duration::ZERO,
+            clock: MemClock::new(),
             elide: false,
             descs_real: Vec::new(),
             descs_emu: Vec::new(),
@@ -240,7 +437,7 @@ impl RegionEnv {
         RegionEnv {
             backend: RegionBackend::Real(Box::new(RegionRuntime::with_config(config))),
             kind,
-            mem_time: Duration::ZERO,
+            clock: MemClock::new(),
             elide: false,
             descs_real: Vec::new(),
             descs_emu: Vec::new(),
@@ -278,74 +475,68 @@ impl RegionEnv {
 
     /// Creates a region.
     pub fn new_region(&mut self) -> Rh {
-        let t = Instant::now();
-        let rh = match &mut self.backend {
+        let backend = &mut self.backend;
+        self.clock.time(Stratum::Exact, || match backend {
             RegionBackend::Real(rt) => Rh(rt.new_region().index()),
             RegionBackend::Emulated { er, .. } => Rh(er.new_region().index()),
-        };
-        self.mem_time += t.elapsed();
-        rh
+        })
     }
 
     /// Deletes a region; `false` if live references blocked it (safe
     /// runtime only — emulation and the unsafe runtime always succeed).
     pub fn delete_region(&mut self, r: Rh) -> bool {
-        let t = Instant::now();
-        let ok = match &mut self.backend {
+        let backend = &mut self.backend;
+        self.clock.time(Stratum::Exact, || match backend {
             RegionBackend::Real(rt) => rt.delete_region(RegionId::from_index(r.0)),
             RegionBackend::Emulated { heap, er } => er.delete_region(heap, EmuRegionId::from_index(r.0)),
-        };
-        self.mem_time += t.elapsed();
-        ok
+        })
     }
 
     /// `ralloc`: one cleared object of type `d` in region `r`.
     pub fn ralloc(&mut self, r: Rh, d: Dh) -> Addr {
-        let t = Instant::now();
-        let a = match &mut self.backend {
-            RegionBackend::Real(rt) => rt.ralloc(RegionId::from_index(r.0), self.descs_real[d.0 as usize]),
-            RegionBackend::Emulated { heap, er } => {
-                er.ralloc(heap, EmuRegionId::from_index(r.0), self.descs_emu[d.0 as usize])
+        match &mut self.backend {
+            RegionBackend::Real(rt) => {
+                let desc = self.descs_real[d.0 as usize];
+                self.clock.time(Stratum::Sampled, || rt.ralloc(RegionId::from_index(r.0), desc))
             }
-        };
-        self.mem_time += t.elapsed();
-        a
+            RegionBackend::Emulated { heap, er } => {
+                let desc = self.descs_emu[d.0 as usize];
+                self.clock.time(Stratum::Exact, || er.ralloc(heap, EmuRegionId::from_index(r.0), desc))
+            }
+        }
     }
 
     /// `rarrayalloc`: a cleared array of `n` objects of type `d`.
     pub fn rarrayalloc(&mut self, r: Rh, n: u32, d: Dh) -> Addr {
-        let t = Instant::now();
-        let a = match &mut self.backend {
-            RegionBackend::Real(rt) => {
-                rt.rarrayalloc(RegionId::from_index(r.0), n, self.descs_real[d.0 as usize])
-            }
+        let (backend, real, emu) = (&mut self.backend, &self.descs_real, &self.descs_emu);
+        self.clock.time(Stratum::Exact, || match backend {
+            RegionBackend::Real(rt) => rt.rarrayalloc(RegionId::from_index(r.0), n, real[d.0 as usize]),
             RegionBackend::Emulated { heap, er } => {
-                er.rarrayalloc(heap, EmuRegionId::from_index(r.0), n, self.descs_emu[d.0 as usize])
+                er.rarrayalloc(heap, EmuRegionId::from_index(r.0), n, emu[d.0 as usize])
             }
-        };
-        self.mem_time += t.elapsed();
-        a
+        })
     }
 
     /// `rstralloc`: `size` bytes of pointer-free storage (uncleared).
     pub fn rstralloc(&mut self, r: Rh, size: u32) -> Addr {
-        let t = Instant::now();
-        let a = match &mut self.backend {
-            RegionBackend::Real(rt) => rt.rstralloc(RegionId::from_index(r.0), size),
-            RegionBackend::Emulated { heap, er } => er.rstralloc(heap, EmuRegionId::from_index(r.0), size),
-        };
-        self.mem_time += t.elapsed();
-        a
+        match &mut self.backend {
+            RegionBackend::Real(rt) => {
+                self.clock.time(Stratum::Sampled, || rt.rstralloc(RegionId::from_index(r.0), size))
+            }
+            RegionBackend::Emulated { heap, er } => {
+                self.clock.time(Stratum::Exact, || er.rstralloc(heap, EmuRegionId::from_index(r.0), size))
+            }
+        }
     }
 
     /// Barriered store of a region pointer into a region object.
     pub fn store_ptr_region(&mut self, loc: Addr, v: Addr) {
-        let t = Instant::now();
         match &mut self.backend {
-            RegionBackend::Real(rt) => rt.store_ptr_region(loc, v),
-            RegionBackend::Emulated { heap, er } => er.store_ptr_region(heap, loc, v),
+            RegionBackend::Real(rt) => self.clock.time(Stratum::Sampled, || rt.store_ptr_region(loc, v)),
+            RegionBackend::Emulated { heap, er } => {
+                self.clock.time(Stratum::Exact, || er.store_ptr_region(heap, loc, v))
+            }
         }
-        self.mem_time += t.elapsed();
     }
 
     /// Barrier-free store of a region pointer the caller has *proved*
@@ -366,22 +557,24 @@ impl RegionEnv {
         if !self.elide {
             return self.store_ptr_region(loc, v);
         }
-        let t = Instant::now();
         match &mut self.backend {
-            RegionBackend::Real(rt) => rt.store_ptr_region_same(loc, v),
-            RegionBackend::Emulated { heap, er } => er.store_ptr_region(heap, loc, v),
+            RegionBackend::Real(rt) => {
+                self.clock.time(Stratum::Sampled, || rt.store_ptr_region_same(loc, v))
+            }
+            RegionBackend::Emulated { heap, er } => {
+                self.clock.time(Stratum::Exact, || er.store_ptr_region(heap, loc, v))
+            }
         }
-        self.mem_time += t.elapsed();
     }
 
     /// Barriered store of a region pointer into global storage.
     pub fn store_ptr_global(&mut self, loc: Addr, v: Addr) {
-        let t = Instant::now();
         match &mut self.backend {
-            RegionBackend::Real(rt) => rt.store_ptr_global(loc, v),
-            RegionBackend::Emulated { heap, er } => er.store_ptr_global(heap, loc, v),
+            RegionBackend::Real(rt) => self.clock.time(Stratum::Sampled, || rt.store_ptr_global(loc, v)),
+            RegionBackend::Emulated { heap, er } => {
+                self.clock.time(Stratum::Exact, || er.store_ptr_global(heap, loc, v))
+            }
         }
-        self.mem_time += t.elapsed();
     }
 
     /// Allocates zeroed global storage.
@@ -401,14 +594,14 @@ impl RegionEnv {
         }
     }
 
-    /// Pops the newest frame.
+    /// Pops the newest frame (timed exactly: popping a scanned frame
+    /// unscans it).
     pub fn pop_frame(&mut self) {
-        let t = Instant::now();
-        match &mut self.backend {
+        let backend = &mut self.backend;
+        self.clock.time(Stratum::Exact, || match backend {
             RegionBackend::Real(rt) => rt.pop_frame(),
             RegionBackend::Emulated { er, .. } => er.pop_frame(),
-        }
-        self.mem_time += t.elapsed();
+        })
     }
 
     /// Writes a region-pointer local (never reference-counted).
@@ -491,9 +684,18 @@ impl RegionEnv {
         }
     }
 
-    /// Time spent inside region operations so far.
+    /// Time spent inside region operations so far (the `MemClock`
+    /// estimate; an emulated backend's collections are inside its exact
+    /// calls already).
     pub fn mem_time(&self) -> Duration {
-        self.mem_time
+        self.clock.estimate(Duration::ZERO)
+    }
+
+    /// [`RegionEnv::mem_time`] before its bound, in nanoseconds, for
+    /// checking the clock: a sound estimate is positive and no more than
+    /// the run's wall time.
+    pub fn mem_estimate_ns(&self) -> i64 {
+        self.clock.estimate_ns(Duration::ZERO)
     }
 
     /// Consumes the environment, returning its heap.
@@ -511,6 +713,149 @@ impl RegionEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
+
+    /// The indices of the sampled-stratum calls a fresh clock times.
+    fn timed_calls(n: u64) -> Vec<u64> {
+        let mut clock = MemClock::new();
+        let timed = (0..n).filter(|_| clock.start(Stratum::Sampled)).collect();
+        assert_eq!(clock.calls, n);
+        timed
+    }
+
+    #[test]
+    fn clock_times_the_same_calls_for_the_same_sequence() {
+        let timed = timed_calls(100_000);
+        assert_eq!(timed_calls(100_000), timed, "the schedule depends only on the call sequence");
+        assert_eq!(timed.len(), 3_162, "the sample count is fixed by the sequence length");
+        assert_eq!(timed_calls(1_000), timed[..timed.partition_point(|&i| i < 1_000)]);
+
+        // A whole workload: two identical runs count the same calls in
+        // each stratum, and keep samples.
+        let run = || {
+            let mut env = RegionEnv::new(RegionKind::Safe);
+            Workload::Tile.run_region(&mut env, 1);
+            let c = &env.clock;
+            assert!(c.samples > 0 && c.samples < c.calls);
+            (c.calls, c.exact_calls)
+        };
+        let (calls, exact) = run();
+        assert_eq!(run(), (calls, exact));
+        assert!(exact > 0);
+    }
+
+    #[test]
+    fn interrupted_samples_are_discarded() {
+        let t = |call, read| Timing { call, read };
+        let mut clock = MemClock::new();
+        clock.first = Some(Instant::now() - Duration::from_secs(1));
+        clock.calls = 64;
+        clock.charge(Stratum::Sampled, t(100, 30));
+        clock.charge(Stratum::Sampled, t(4_000_000, 30));
+        clock.charge(Stratum::Sampled, t(INTERRUPTED_NS, 30));
+        // An interrupted empty read would make this sample about −1 µs,
+        // and −32 µs once scaled.
+        clock.charge(Stratum::Sampled, t(150, 31 + READ_SLACK_NS));
+        assert_eq!(clock.samples, 2, "the descheduled call and the interrupted read are dropped");
+        let mean = (70 + INTERRUPTED_NS - 30) / 2;
+        assert_eq!(clock.estimate_ns(Duration::ZERO), 64 * mean);
+        // An exact call is charged once, whatever it took; an interrupted
+        // empty read is replaced by the fastest one seen.
+        clock.charge(Stratum::Exact, t(4_000_000, 19_000));
+        let ns = clock.estimate_ns(Duration::ZERO);
+        assert_eq!(ns, 64 * mean + 4_000_000 - 30);
+        assert_eq!(clock.estimate(Duration::ZERO), Duration::from_nanos(ns as u64));
+    }
+
+    #[test]
+    fn exact_calls_are_timed_every_time() {
+        for kind in [RegionKind::Safe, RegionKind::Unsafe, RegionKind::Emulated(MallocKind::Lea)] {
+            let mut env = RegionEnv::new(kind);
+            let d = env.register_type(TypeDescriptor::new("node", 8, vec![4]));
+            for _ in 0..50 {
+                let r = env.new_region();
+                env.rarrayalloc(r, 3, d);
+                env.push_frame(1);
+                env.pop_frame();
+                assert!(env.delete_region(r));
+            }
+            assert_eq!(env.clock.exact_calls, 200, "{}", kind.name());
+            assert_eq!(env.clock.calls, 0, "{}: nothing sampled", kind.name());
+
+            // The frequent calls are sampled on the real runtime and
+            // timed exactly on emulation.
+            let r = env.new_region();
+            for _ in 0..100 {
+                let a = env.ralloc(r, d);
+                env.rstralloc(r, 8);
+                env.store_ptr_region(a + 4, a);
+            }
+            let sampled = if kind == RegionKind::Emulated(MallocKind::Lea) { 0 } else { 300 };
+            assert_eq!(env.clock.calls, sampled, "{}", kind.name());
+            assert_eq!(env.clock.exact_calls, 201 + 300 - sampled, "{}", kind.name());
+        }
+        let mut env = MallocEnv::new(MallocKind::Lea);
+        let a = env.malloc(40);
+        env.free(a);
+        env.malloc(3 * simheap::PAGE_SIZE);
+        assert_eq!((env.clock.calls, env.clock.exact_calls), (3, 0), "malloc and free are sampled");
+    }
+
+    #[test]
+    fn mem_time_is_zero_with_no_calls() {
+        for kind in MallocKind::ALL {
+            assert_eq!(MallocEnv::new(kind).mem_time(), Duration::ZERO, "{}", kind.name());
+        }
+        for kind in [RegionKind::Safe, RegionKind::Unsafe, RegionKind::Emulated(MallocKind::Gc)] {
+            assert_eq!(RegionEnv::new(kind).mem_time(), Duration::ZERO, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn mem_time_never_exceeds_the_env_lifetime() {
+        let t = Instant::now();
+        let mut env = RegionEnv::new(RegionKind::Safe);
+        Workload::Grobner.run_region(&mut env, 1);
+        assert!(env.mem_time() <= t.elapsed());
+
+        // Even an estimate far beyond the wall clock is cut back to it,
+        // and a negative one to zero; the unbounded estimate is kept.
+        let t = Instant::now();
+        let mut env = MallocEnv::new(MallocKind::Lea);
+        for _ in 0..2 * SAMPLE_PERIOD {
+            env.malloc(8);
+        }
+        env.clock.samples = 1;
+        env.clock.sampled_ns = i64::MAX / (4 * 2 * SAMPLE_PERIOD as i64);
+        let mem = env.mem_time();
+        assert!(mem > Duration::ZERO && mem <= t.elapsed());
+        assert!(env.mem_estimate_ns() > nanos(t.elapsed()));
+        env.clock.sampled_ns = -1_000_000;
+        assert_eq!(env.mem_time(), Duration::ZERO);
+        assert!(env.mem_estimate_ns() < 0);
+    }
+
+    /// One collection dominates the run, so if collections were sampled
+    /// with the `malloc`s around them they would be missed (and `mem_time`
+    /// would fall below their cost) or multiplied by the period.
+    #[test]
+    fn gc_mem_time_covers_its_collections() {
+        let mut env = MallocEnv::new(MallocKind::Gc);
+        env.push_roots(1);
+        let mut nodes: Vec<Addr> = Vec::new();
+        while env.alloc.collect_time() == Duration::ZERO {
+            // Every word of every node points at an earlier node: all
+            // live, and marking follows each word.
+            let a = env.malloc(64);
+            for i in 0..16u32 {
+                let to = nodes.get(nodes.len().wrapping_sub(1 + i as usize * 7)).copied();
+                env.heap().store_addr(a + i * 4, to.unwrap_or(Addr::NULL));
+            }
+            env.set_root(0, a);
+            nodes.push(a);
+        }
+        assert!(env.mem_time() >= env.alloc.collect_time());
+    }
 
     #[test]
     fn malloc_env_round_trip_all_kinds() {

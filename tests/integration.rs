@@ -322,3 +322,106 @@ fn shard_matches_private_heap_and_unwritten_world_round_trips() {
     let refs: Vec<&RegionRuntime<HeapShard>> = world.runtimes.iter().collect();
     assert_eq!(capture_world(&world.space, &refs), bytes, "re-capture is byte-identical");
 }
+
+/// Figure 9's memory share is a positive part of every run: the memory
+/// clock's estimate, before the bound that caps it at the wall time, is
+/// above zero and no more than the run itself, on both the region and
+/// the malloc side.
+#[test]
+fn memory_time_is_a_positive_share_of_every_run() {
+    use std::time::{Duration, Instant};
+
+    fn check(cell: String, total: Duration, estimate_ns: i64, mem: Duration) {
+        let total_ns = total.as_nanos() as i64;
+        assert!(estimate_ns > 0, "{cell}: memory estimate {estimate_ns} ns is not positive");
+        assert!(estimate_ns <= total_ns, "{cell}: memory estimate {estimate_ns} ns exceeds total {total_ns} ns");
+        assert!(mem > Duration::ZERO && mem <= total, "{cell}: memory time {mem:?}, total {total:?}");
+    }
+    for w in Workload::ALL {
+        for kind in [RegionKind::Safe, RegionKind::Unsafe] {
+            let mut env = RegionEnv::new(kind);
+            let t = Instant::now();
+            w.run_region(&mut env, 1);
+            let (est, mem) = (env.mem_estimate_ns(), env.mem_time());
+            check(format!("{}/{}", w.name(), kind.name()), t.elapsed(), est, mem);
+        }
+        for kind in [MallocKind::Lea, MallocKind::Gc] {
+            let mut env = MallocEnv::new(kind);
+            let t = Instant::now();
+            w.run_malloc(&mut env, 1);
+            let (est, mem) = (env.mem_estimate_ns(), env.mem_time());
+            check(format!("{}/{}", w.name(), kind.name()), t.elapsed(), est, mem);
+        }
+    }
+}
+
+/// Tier-1 smoke of bounded-pause deletion: the deletion budget is host
+/// tuning only, so an unbounded, a 64-unit and a 1-unit budget give the
+/// same stats, safety costs and snapshot bytes.
+#[test]
+fn deletion_budget_leaves_the_books_unchanged() {
+    use explicit_regions::region_core::{RegionRuntime, TypeDescriptor};
+
+    let run = |budget: u64| {
+        let mut rt = RegionRuntime::new_safe();
+        rt.set_delete_budget(budget);
+        let seen = region_script(&mut rt);
+        // A region big enough that cleanup and page return span many
+        // 64-unit increments, each object holding a count on `keep`.
+        let node = rt.register_type(TypeDescriptor::new("node", 8, vec![4]));
+        let (big, keep) = (rt.new_region(), rt.new_region());
+        let target = rt.ralloc(keep, node);
+        for _ in 0..500 {
+            let x = rt.ralloc(big, node);
+            rt.store_ptr_region(x + 4, target);
+            rt.rstralloc(big, 200);
+        }
+        assert!(rt.delete_region(big) && rt.delete_region(keep), "budget {budget}");
+        assert!(rt.sanitize().is_clean(), "budget {budget}");
+        (seen, *rt.stats(), *rt.costs(), rt.capture_snapshot())
+    };
+    let unbounded = run(u64::MAX);
+    for budget in [64, 1] {
+        assert!(run(budget) == unbounded, "budget {budget} changed the books");
+    }
+}
+
+/// Tier-1 smoke of RSNP v1: a single runtime captured mid-run (live
+/// regions, cross-region counts, a held stack frame) restores, and the
+/// restored runtime re-captures byte for byte and carries on identically.
+#[test]
+fn v1_snapshot_round_trips_byte_identically() {
+    use explicit_regions::region_core::{RegionRuntime, TypeDescriptor, SNAPSHOT_VERSION};
+    use explicit_regions::simheap::Addr;
+
+    let mut rt = RegionRuntime::new_safe();
+    let node = rt.register_type(TypeDescriptor::new("node", 8, vec![4]));
+    let (a, b) = (rt.new_region(), rt.new_region());
+    let globals = rt.alloc_globals(4);
+    // a's objects point into b; b's chain within b.
+    let mut last_b = Addr::NULL;
+    for i in 0..60u32 {
+        let x = rt.ralloc(if i % 3 == 0 { b } else { a }, node);
+        rt.heap_mut().store_u32(x, i);
+        rt.store_ptr_unknown(x + 4, last_b);
+        if i % 3 == 0 {
+            last_b = x;
+        }
+    }
+    rt.store_ptr_global(globals, last_b);
+    rt.push_frame(1);
+    rt.set_local(0, last_b);
+
+    let bytes = rt.capture_snapshot();
+    assert_eq!(bytes[4..8], SNAPSHOT_VERSION.to_le_bytes(), "a v1 stream");
+    let mut back = RegionRuntime::restore_snapshot(&bytes).expect("a captured runtime restores");
+    assert_eq!(back.capture_snapshot(), bytes, "re-capture is byte-identical");
+    for rt in [&mut rt, &mut back] {
+        assert!(!rt.delete_region(b), "a, the local and the global hold b");
+        rt.set_local(0, Addr::NULL);
+        rt.store_ptr_global(globals, Addr::NULL);
+        rt.pop_frame();
+        assert!(rt.delete_region(a) && rt.delete_region(b));
+    }
+    assert_eq!(back.capture_snapshot(), rt.capture_snapshot(), "continued identically");
+}
