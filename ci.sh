@@ -39,12 +39,17 @@ echo "== golden access traces =="
 # cfrac is format v2 (range records).
 ./target/release/fig10 --quick --check-golden tile
 ./target/release/fig10 --quick --check-golden cfrac
-# Remaining workloads: record fresh, then immediately re-check, so every
-# access stream is exercised through the golden writer+reader round trip
-# and any in-run nondeterminism fails CI.
-for wl in grobner mudlle lcc moss; do
-    ./target/release/fig10 --quick --record-golden "$wl" >/dev/null
-    ./target/release/fig10 --quick --check-golden "$wl"
+# Remaining workloads have no committed trace file: each fresh recording
+# is pinned on its access count and stream hash, so a reordering of any
+# access (a deletion's unscan moved across its cleanup walk, say) fails.
+for spec in \
+    "grobner|465356 accesses (465356 kept verbatim), hash 177936f780afb031" \
+    "mudlle|98874 accesses (98874 kept verbatim), hash 74e1f726559f576d" \
+    "lcc|64033 accesses (64033 kept verbatim), hash ec6bb2cbd63e80a7" \
+    "moss|1183586 accesses (1000000 kept verbatim), hash 13810a2eea31ec08"; do
+    wl=${spec%%|*}
+    out=$(./target/release/fig10 --quick --record-golden "$wl")
+    pin "$wl golden trace" "${spec#*|}" "$out"
 done
 
 echo "== golden end-states (RSNP snapshots, field-level diff on drift) =="

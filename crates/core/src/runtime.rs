@@ -168,13 +168,12 @@ pub(crate) enum DeletePhase {
     ScanStack { attempt_frames: u64, attempt_slots: u64 },
     /// The cleanup walk. `marks` is the explicit mark stack: one
     /// `(page, start, cursor)` entry per remaining normal page, pushed
-    /// in reverse page order so popping reproduces the monolithic walk
-    /// order; `cursor` (≥ `start`) is the next unprocessed object-header
-    /// offset on the top entry.
+    /// in reverse page order so popping walks the pages in list order;
+    /// `cursor` (≥ `start`) is the next unprocessed object-header offset
+    /// on the top entry.
     Cleanup { marks: Vec<(Addr, u32, u32)> },
     /// Returning pages to the pool, stored in reverse release order
-    /// (normal pages first, then string pages, exactly as the monolithic
-    /// path releases them).
+    /// (pages are released normal pages first, then string pages).
     ReturnPages { pages: Vec<Addr> },
 }
 
@@ -257,8 +256,8 @@ pub struct RegionRuntime<H: HeapBackend = SimHeap> {
     global_ptr_locs: BTreeSet<u32>,
     // --- incremental deletion ---
     /// Work units one [`RegionRuntime::try_delete_region_step`] may spend
-    /// before parking (`u64::MAX` = unbounded, the historical monolithic
-    /// behavior). One unit ≈ one frame scanned, one object's counts
+    /// before parking (`u64::MAX` = unbounded: every deletion finishes in
+    /// one increment). One unit ≈ one frame scanned, one object's counts
     /// released, or one page returned. Host-side tuning state: not
     /// serialized, restored runtimes default to unbounded.
     delete_budget: u64,
@@ -674,11 +673,11 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// maximum number of work units — frames scanned, objects whose
     /// counts are released, pages returned — one
     /// [`RegionRuntime::try_delete_region_step`] call may spend before
-    /// parking the region. `u64::MAX` (the default) keeps every
-    /// `deleteregion` monolithic and bit-identical to the historical
-    /// behavior. The budget is host-side tuning state: it is not
-    /// serialized into snapshots, and the final books of a deletion are
-    /// identical under any budget.
+    /// parking the region. `u64::MAX` (the default) finishes every
+    /// `deleteregion` in one increment, whose access stream is the
+    /// paper's scan, cleanup walk, page release, unscan. The budget is
+    /// host-side tuning state: it is not serialized into snapshots, and
+    /// the final books of a deletion are identical under any budget.
     pub fn set_delete_budget(&mut self, budget: u64) {
         assert!(budget > 0, "delete budget must be positive");
         self.delete_budget = budget;
@@ -1090,58 +1089,15 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// (§4.2.4, Figure 7) and all pages are returned to the page pool.
     ///
     /// In unsafe mode deletion is unconditional.
+    ///
+    /// Runs [`RegionRuntime::try_delete_region_step`] until the region is
+    /// gone (or resumes a parked deletion and finishes it). Under the
+    /// default unbounded budget that is a single increment, which emits
+    /// the paper's operation order: scan, count check, cleanup walk, page
+    /// release, unscan.
     pub fn try_delete_region(&mut self, r: RegionId) -> Result<(), RegionError> {
-        if self.regions[r.0 as usize].liveness == Liveness::Dead {
-            return Err(RegionError::RegionDeleted { region: r });
-        }
-        if self.delete_budget == u64::MAX
-            && self.regions[r.0 as usize].liveness == Liveness::Live
-        {
-            // Monolithic fast path, kept verbatim: with an unbounded
-            // budget the historical operation *order* (scan, count
-            // check, cleanup walk, page release, unscan) is part of the
-            // observable surface — golden access traces record it.
-            if self.is_safe() {
-                let (f, s) = self.scan_stack();
-                let rc = self.regions[r.0 as usize].rc;
-                if rc != 0 {
-                    self.costs.deletes_failed += 1;
-                    self.scan_attr.refused_frames += f;
-                    self.scan_attr.refused_slots += s;
-                    self.unscan_top();
-                    return Err(RegionError::DeleteBlocked { region: r, rc });
-                }
-                self.cleanup_region(r);
-                self.costs.deletes += 1;
-            }
-            // Release every page of both allocators.
-            let info = &mut self.regions[r.0 as usize];
-            info.liveness = Liveness::Dead;
-            let pages: Vec<Addr> = info
-                .normal
-                .pages
-                .drain(..)
-                .chain(info.string.pages.drain(..))
-                .map(|(p, _)| p)
-                .collect();
-            let bytes = info.bytes;
-            for p in pages {
-                self.release_page(p);
-            }
-            self.stats.on_region_deleted(bytes);
-            if self.is_safe() {
-                self.unscan_top();
-            }
-            return Ok(());
-        }
-        // Bounded budget (or resuming a parked deletion): run the
-        // incremental machine to completion in place.
-        loop {
-            match self.try_delete_region_step(r)? {
-                DeleteProgress::Done => return Ok(()),
-                DeleteProgress::Parked => {}
-            }
-        }
+        while self.try_delete_region_step(r)? == DeleteProgress::Parked {}
+        Ok(())
     }
 
     /// Runs **one increment** of an incremental `deleteregion` on `r`,
@@ -1160,7 +1116,14 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// The zero-reference check happens exactly once, in the same
     /// increment that scans the last stack frame; a refusal
     /// ([`RegionError::DeleteBlocked`]) revives the region to fully
-    /// `Live` with nothing freed, exactly like the monolithic path.
+    /// `Live` with nothing freed.
+    ///
+    /// Every increment ends by unscanning the newest frame, whatever its
+    /// outcome, so invariant (*) holds at every park point and on return
+    /// to the mutator. Unscanning at increment exit rather than right
+    /// after the count check keeps an unbounded increment's access stream
+    /// in the paper's order, with the cleanup walk and page release
+    /// before the unscan.
     ///
     /// Returns [`DeleteProgress::Done`] when the region is gone and
     /// [`DeleteProgress::Parked`] when budget ran out mid-phase.
@@ -1172,17 +1135,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     // Unsafe mode has no counts to prove or release:
                     // deletion is unconditional and the only work is
                     // handing pages back, which is still budgeted.
-                    let info = &mut self.regions[r.0 as usize];
-                    info.liveness = Liveness::Parked { scanning: false };
-                    let mut pages: Vec<Addr> = info
-                        .normal
-                        .pages
-                        .drain(..)
-                        .chain(info.string.pages.drain(..))
-                        .map(|(p, _)| p)
-                        .collect();
-                    pages.reverse(); // popped back-to-front below
-                    DeletionState { phase: DeletePhase::ReturnPages { pages } }
+                    self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
+                    DeletionState { phase: DeletePhase::ReturnPages { pages: self.take_pages(r) } }
                 } else {
                     self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: true };
                     DeletionState {
@@ -1195,14 +1149,26 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 .remove(&r.0)
                 .expect("parked region has a checked-out deletion state"),
         };
-        match self.run_increment(r, state) {
-            Ok(Some(state)) => {
+        let outcome = self.run_increment(r, state);
+        self.unscan_top();
+        match outcome? {
+            Some(state) => {
                 self.deletions.insert(r.0, state);
                 Ok(DeleteProgress::Parked)
             }
-            Ok(None) => Ok(DeleteProgress::Done),
-            Err(e) => Err(e),
+            None => Ok(DeleteProgress::Done),
         }
+    }
+
+    /// Empties both of `r`'s page lists into the `ReturnPages` queue:
+    /// normal pages, then string pages, stored reversed so popping
+    /// releases them in list order.
+    fn take_pages(&mut self, r: RegionId) -> Vec<Addr> {
+        let info = &mut self.regions[r.0 as usize];
+        let pages = info.normal.pages.drain(..).chain(info.string.pages.drain(..));
+        let mut pages: Vec<Addr> = pages.map(|(p, _)| p).collect();
+        pages.reverse();
+        pages
     }
 
     /// Body of one increment: spend up to `delete_budget` units on
@@ -1231,115 +1197,42 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         attempt_slots += u64::from(slots);
                         budget -= 1;
                     }
-                    // Count check and unscan ride free with the final
-                    // frame: the scan-complete increment always ends
-                    // with the newest frame unscanned, so invariant (*)
-                    // holds at every park point.
+                    // The count check rides free with the final frame;
+                    // the caller unscans the newest frame when this
+                    // increment exits.
                     let rc = self.regions[r.0 as usize].rc;
                     if rc != 0 {
                         self.costs.deletes_failed += 1;
                         self.scan_attr.refused_frames += attempt_frames;
                         self.scan_attr.refused_slots += attempt_slots;
                         self.regions[r.0 as usize].liveness = Liveness::Live;
-                        self.unscan_top();
                         return Err(RegionError::DeleteBlocked { region: r, rc });
                     }
                     self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
-                    self.unscan_top();
-                    // Mark stack, pushed in reverse so pops replay the
-                    // monolithic page order. Each mark is (page, start
+                    // Mark stack, pushed in reverse so pops walk the
+                    // pages in list order. Each mark is (page, start
                     // offset, cursor); the cursor resumes mid-page.
-                    let mut marks: Vec<(Addr, u32, u32)> = self.regions[r.0 as usize]
+                    let marks: Vec<(Addr, u32, u32)> = self.regions[r.0 as usize]
                         .normal
                         .pages
                         .iter()
+                        .rev()
                         .map(|&(p, start)| (p, start, start))
                         .collect();
-                    marks.reverse();
                     phase = DeletePhase::Cleanup { marks };
                 }
                 DeletePhase::Cleanup { mut marks } => {
-                    while let Some(&(page, start, cursor)) = marks.last() {
-                        if budget == 0 {
+                    while let Some((page, start, cursor)) = marks.pop() {
+                        let parked = self.cleanup_page(r, page, start, cursor, &mut budget);
+                        if let Some(cursor) = parked {
+                            marks.push((page, start, cursor));
                             return Ok(Some(DeletionState {
                                 phase: DeletePhase::Cleanup { marks },
                             }));
                         }
-                        if cursor == start {
-                            self.costs.cleanup_pages += 1;
-                        }
-                        let cur = page + cursor;
-                        let end = page + PAGE_SIZE;
-                        if !(cur + WORD <= end) {
-                            marks.pop();
-                            budget -= 1;
-                            continue;
-                        }
-                        let hdr = self.heap.load_u32_fast(cur);
-                        if hdr == 0 {
-                            // "the end of unfilled pages is marked with
-                            // a NULL"
-                            marks.pop();
-                            budget -= 1;
-                            continue;
-                        }
-                        // One object is processed atomically — its
-                        // header decode and every field release happen
-                        // in this increment — and charged 1 + the
-                        // number of pointer fields released.
-                        self.costs.cleanup_objects += 1;
-                        self.costs.cleanup_instrs += CLEANUP_OBJECT_INSTRS;
-                        let next = if hdr & ARRAY_FLAG != 0 {
-                            let desc = DescId((hdr & !ARRAY_FLAG) - 1);
-                            let n = self.heap.load_u32_fast(cur + WORD);
-                            let stride = self.heap.load_u32_fast(cur + 2 * WORD);
-                            let data = cur + 3 * WORD;
-                            let (nptrs, first) = self.ptr_fields(desc);
-                            let all_null = nptrs == 1
-                                && n > 1
-                                && stride > 0
-                                && (0..n)
-                                    .all(|i| self.heap.peek_u32(data + i * stride + first) == 0);
-                            if all_null {
-                                self.costs.cleanup_ptrs += u64::from(n);
-                                self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                                self.heap.load_u32_range(data + first, n, stride);
-                                budget = budget.saturating_sub(u64::from(n));
-                            } else {
-                                for i in 0..n {
-                                    for k in 0..nptrs {
-                                        let off = self.descs.get(desc).ptr_offsets()[k];
-                                        self.cleanup_release(r, data + i * stride + off);
-                                    }
-                                }
-                                budget = budget.saturating_sub(u64::from(n) * nptrs as u64);
-                            }
-                            data + n * stride
-                        } else {
-                            let desc = DescId(hdr - 1);
-                            let data = cur + WORD;
-                            let (nptrs, _) = self.ptr_fields(desc);
-                            for k in 0..nptrs {
-                                let off = self.descs.get(desc).ptr_offsets()[k];
-                                self.cleanup_release(r, data + off);
-                            }
-                            budget = budget.saturating_sub(nptrs as u64);
-                            data + align_up(self.descs.get(desc).size(), WORD)
-                        };
-                        budget = budget.saturating_sub(1);
-                        marks.last_mut().unwrap().2 = next - page;
                     }
                     self.costs.deletes += 1;
-                    let info = &mut self.regions[r.0 as usize];
-                    let mut pages: Vec<Addr> = info
-                        .normal
-                        .pages
-                        .drain(..)
-                        .chain(info.string.pages.drain(..))
-                        .map(|(p, _)| p)
-                        .collect();
-                    pages.reverse(); // popped back-to-front below
-                    phase = DeletePhase::ReturnPages { pages };
+                    phase = DeletePhase::ReturnPages { pages: self.take_pages(r) };
                 }
                 DeletePhase::ReturnPages { mut pages } => {
                     while let Some(&p) = pages.last() {
@@ -1376,62 +1269,80 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
     }
 
-    /// Walks every object of a deleted region and releases the reference
-    /// counts held by its region-pointer fields (paper Figure 7; the
-    /// descriptor plays the role of the cleanup function of Figure 6).
-    fn cleanup_region(&mut self, r: RegionId) {
-        let pages: Vec<(Addr, u32)> = self.regions[r.0 as usize].normal.pages.clone();
-        for (page, start) in pages {
+    /// Walks one normal page of the dying region `r` from offset `cursor`
+    /// (its objects begin at `start`), releasing the counts each object
+    /// holds on other regions — paper Figure 7, with the descriptor as
+    /// Figure 6's cleanup function — until the page ends or `budget` runs
+    /// out. Returns the offset to resume from when the budget parks the
+    /// walk mid-page. An object is processed atomically and charged 1 +
+    /// the number of pointer fields released; ending the page costs 1.
+    fn cleanup_page(
+        &mut self,
+        r: RegionId,
+        page: Addr,
+        start: u32,
+        cursor: u32,
+        budget: &mut u64,
+    ) -> Option<u32> {
+        if *budget == 0 {
+            return Some(cursor);
+        }
+        if cursor == start {
             self.costs.cleanup_pages += 1;
-            let mut cur = page + start;
-            let end = page + PAGE_SIZE;
-            while cur + WORD <= end {
-                let hdr = self.heap.load_u32_fast(cur);
-                if hdr == 0 {
-                    break; // "the end of unfilled pages is marked with a NULL"
+        }
+        let (mut cur, end) = (page + cursor, page + PAGE_SIZE);
+        loop {
+            // "the end of unfilled pages is marked with a NULL"; a full
+            // page just ends.
+            let hdr = if cur + WORD <= end { self.heap.load_u32_fast(cur) } else { 0 };
+            if hdr == 0 {
+                *budget -= 1;
+                return None;
+            }
+            self.costs.cleanup_objects += 1;
+            self.costs.cleanup_instrs += CLEANUP_OBJECT_INSTRS;
+            let (released, next) = if hdr & ARRAY_FLAG == 0 {
+                let desc = DescId(hdr - 1);
+                let data = cur + WORD;
+                let (nptrs, _) = self.ptr_fields(desc);
+                for k in 0..nptrs {
+                    let off = self.descs.get(desc).ptr_offsets()[k];
+                    self.cleanup_release(r, data + off);
                 }
-                self.costs.cleanup_objects += 1;
-                self.costs.cleanup_instrs += CLEANUP_OBJECT_INSTRS;
-                if hdr & ARRAY_FLAG != 0 {
-                    let desc = DescId((hdr & !ARRAY_FLAG) - 1);
-                    let n = self.heap.load_u32_fast(cur + WORD);
-                    let stride = self.heap.load_u32_fast(cur + 2 * WORD);
-                    let data = cur + 3 * WORD;
-                    let (nptrs, first) = self.ptr_fields(desc);
-                    // Single-pointer arrays whose fields are all still null
-                    // (common: cleared on alloc, never linked) release
-                    // nothing, so the walk is one strided bulk load — a
-                    // single Range record to any attached sink. Bit-for-bit
-                    // equal to the per-field walk: `region_of(null)` loads
-                    // nothing, so the baseline stream is exactly these n
-                    // word reads.
-                    let all_null = nptrs == 1
-                        && n > 1
-                        && stride > 0
-                        && (0..n).all(|i| self.heap.peek_u32(data + i * stride + first) == 0);
-                    if all_null {
-                        self.costs.cleanup_ptrs += u64::from(n);
-                        self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
-                        self.heap.load_u32_range(data + first, n, stride);
-                    } else {
-                        for i in 0..n {
-                            for k in 0..nptrs {
-                                let off = self.descs.get(desc).ptr_offsets()[k];
-                                self.cleanup_release(r, data + i * stride + off);
-                            }
+                (nptrs as u64, data + align_up(self.descs.get(desc).size(), WORD))
+            } else {
+                let desc = DescId((hdr & !ARRAY_FLAG) - 1);
+                let n = self.heap.load_u32_fast(cur + WORD);
+                let stride = self.heap.load_u32_fast(cur + 2 * WORD);
+                let data = cur + 3 * WORD;
+                let (nptrs, first) = self.ptr_fields(desc);
+                // Single-pointer arrays whose fields are all still null
+                // (cleared on alloc, never linked) release nothing, so the
+                // walk is one strided bulk load — one Range record to a
+                // sink, and bit-for-bit the per-field walk, since
+                // `region_of(null)` loads nothing.
+                let all_null = nptrs == 1
+                    && n > 1
+                    && stride > 0
+                    && (0..n).all(|i| self.heap.peek_u32(data + i * stride + first) == 0);
+                if all_null {
+                    self.costs.cleanup_ptrs += u64::from(n);
+                    self.costs.cleanup_instrs += u64::from(n) * CLEANUP_PTR_INSTRS;
+                    self.heap.load_u32_range(data + first, n, stride);
+                } else {
+                    for i in 0..n {
+                        for k in 0..nptrs {
+                            let off = self.descs.get(desc).ptr_offsets()[k];
+                            self.cleanup_release(r, data + i * stride + off);
                         }
                     }
-                    cur = data + n * stride;
-                } else {
-                    let desc = DescId(hdr - 1);
-                    let data = cur + WORD;
-                    let (nptrs, _) = self.ptr_fields(desc);
-                    for k in 0..nptrs {
-                        let off = self.descs.get(desc).ptr_offsets()[k];
-                        self.cleanup_release(r, data + off);
-                    }
-                    cur = data + align_up(self.descs.get(desc).size(), WORD);
                 }
+                (u64::from(n) * nptrs as u64, data + n * stride)
+            };
+            *budget = budget.saturating_sub(1 + released);
+            cur = next;
+            if *budget == 0 {
+                return Some(cur - page);
             }
         }
     }
@@ -2161,8 +2072,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
             violations,
             global_ptr_locs,
             // Host-side tuning knobs and diagnostics are deliberately
-            // not serialized: a restored runtime defaults to monolithic
-            // deletion (the caller re-applies its budget) and fresh
+            // not serialized: a restored runtime defaults to an unbounded
+            // delete budget (the caller re-applies its own) and fresh
             // attribution, while `deletions` was rebuilt above.
             delete_budget: u64::MAX,
             deletions,

@@ -124,28 +124,13 @@ impl<H: HeapBackend> RegionRuntime<H> {
         self.heap_mut().load_addr(addr)
     }
 
-    /// Scans all unscanned frames, bringing every region's reference count
-    /// up to its exact value (called by `deleteregion`, §4.2.1). Leaves
-    /// every frame — including the newest — scanned; the caller restores
-    /// the invariant with [`RegionRuntime::unscan_top`]. Returns the
-    /// `(frames, slots)` this call actually scanned, so `deleteregion`
-    /// can attribute the work to a refused attempt
-    /// ([`crate::ScanAttribution`]).
-    pub(crate) fn scan_stack(&mut self) -> (u64, u64) {
-        let mut frames = 0u64;
-        let mut slots = 0u64;
-        while self.hwm < self.frames.len() {
-            frames += 1;
-            slots += u64::from(self.scan_one_frame());
-        }
-        (frames, slots)
-    }
-
-    /// Scans exactly one frame — the oldest unscanned one — and advances
-    /// the high-water mark past it. One work increment of the incremental
-    /// `deleteregion` scan phase; charges and count effects are identical
-    /// to the same frame's share of a monolithic [`scan_stack`] call.
-    /// Returns the frame's slot count.
+    /// Scans exactly one frame — the oldest unscanned one — incrementing
+    /// the count of every region its live locals point into, and advances
+    /// the high-water mark past it (§4.2.1). One work unit of the
+    /// `deleteregion` scan phase, which repeats it until every frame,
+    /// the newest included, is scanned; the deletion then restores the
+    /// invariant with [`RegionRuntime::unscan_top`]. Returns the frame's
+    /// slot count.
     ///
     /// The caller must ensure an unscanned frame exists.
     pub(crate) fn scan_one_frame(&mut self) -> u32 {

@@ -1,10 +1,11 @@
 //! Property tests for bounded-pause incremental `deleteregion`: running
 //! every deletion of an arbitrary valid op sequence through an arbitrary
 //! work budget (including budget = 1) must be observationally identical
-//! to the monolithic stop-the-world path — same final snapshot bytes
-//! (hence same heap image, counters, stats, costs and fault-plan
-//! progress), same violations, same refused-scan attribution, same
-//! `sanitize()` verdict — and the books must audit clean at **every
+//! to the unbounded budget, under which every deletion finishes in one
+//! stop-the-world increment (the "monolithic" arm) — same final
+//! snapshot bytes (hence same heap image, counters, stats, costs and
+//! fault-plan progress), same violations, same refused-scan attribution,
+//! same `sanitize()` verdict — and the books must audit clean at **every
 //! increment boundary**. A second battery kills the process at sampled
 //! increment boundaries (`capture_snapshot` of the parked
 //! `DeletionState`), restores, resumes the in-flight deletion, replays
@@ -64,10 +65,10 @@ struct Boundary {
 }
 
 /// Deterministic replay driver, in the mold of `snapshot_props.rs`. With
-/// `budget == u64::MAX` every `Delete` op takes the historical monolithic
-/// `try_delete_region` path; with a finite budget it drains the region
-/// through `try_delete_region_step`, auditing the books at every
-/// increment boundary and offering each boundary to `on_boundary`.
+/// `budget == u64::MAX` every `Delete` op is one `try_delete_region`
+/// call, which finishes in a single increment; with a finite budget it
+/// drains the region through `try_delete_region_step`, auditing the books
+/// at every increment boundary and offering each boundary to `on_boundary`.
 struct World {
     rt: RegionRuntime,
     node: DescId,
@@ -93,7 +94,7 @@ impl World {
 
     /// Rebuilds a world around a restored runtime, adopting the host-side
     /// bookkeeping recorded at the kill point. The delete budget is not
-    /// serialized (a restored runtime defaults to monolithic), so the
+    /// serialized (a restored runtime defaults to unbounded), so the
     /// driver re-arms it — exactly what `RegionRuntime::set_delete_budget`
     /// documents real drivers must do.
     fn adopt(rt: RegionRuntime, b: &Boundary, node: DescId, globals: Addr, budget: u64) -> World {
@@ -113,7 +114,7 @@ impl World {
 
     /// Drains one region through the budgeted state machine, auditing at
     /// every increment boundary. Returns whether the deletion succeeded
-    /// (a refusal revives the region, exactly like the monolithic path).
+    /// (a refusal revives the region, exactly like an unbounded one).
     fn drain(&mut self, r: RegionId, mut on_boundary: impl FnMut(&RegionRuntime, u64)) -> bool {
         loop {
             match self.rt.try_delete_region_step(r) {

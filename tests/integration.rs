@@ -357,10 +357,14 @@ fn memory_time_is_a_positive_share_of_every_run() {
 
 /// Tier-1 smoke of bounded-pause deletion: the deletion budget is host
 /// tuning only, so an unbounded, a 64-unit and a 1-unit budget give the
-/// same stats, safety costs and snapshot bytes.
+/// same stats, safety costs and snapshot bytes. A finite budget large
+/// enough to finish in one increment must also emit the unbounded
+/// deletion's access stream word for word, so every budget runs the one
+/// `deleteregion` whose order the golden traces pin.
 #[test]
 fn deletion_budget_leaves_the_books_unchanged() {
     use explicit_regions::region_core::{RegionRuntime, TypeDescriptor};
+    use explicit_regions::simheap::RecordingSink;
 
     let run = |budget: u64| {
         let mut rt = RegionRuntime::new_safe();
@@ -376,13 +380,50 @@ fn deletion_budget_leaves_the_books_unchanged() {
             rt.store_ptr_region(x + 4, target);
             rt.rstralloc(big, 200);
         }
-        assert!(rt.delete_region(big) && rt.delete_region(keep), "budget {budget}");
+        // The newest frame points into `keep`: the delete scans it, and
+        // where its unscan falls relative to the cleanup walk shows in
+        // the recorded stream.
+        rt.push_frame(1);
+        rt.set_local(0, target);
+        rt.heap_mut().attach_sink(Box::new(RecordingSink::default()));
+        assert!(rt.delete_region(big), "budget {budget}");
+        let sink = rt.heap_mut().detach_sink().expect("a sink is attached");
+        let stream = sink.into_any().downcast::<RecordingSink>().expect("a RecordingSink").log;
+        rt.pop_frame();
+        assert!(rt.delete_region(keep), "budget {budget}");
         assert!(rt.sanitize().is_clean(), "budget {budget}");
-        (seen, *rt.stats(), *rt.costs(), rt.capture_snapshot())
+        ((seen, *rt.stats(), *rt.costs(), rt.capture_snapshot()), stream)
     };
-    let unbounded = run(u64::MAX);
+    let (unbounded, stream) = run(u64::MAX);
     for budget in [64, 1] {
-        assert!(run(budget) == unbounded, "budget {budget} changed the books");
+        assert!(run(budget).0 == unbounded, "budget {budget} changed the books");
+    }
+    let (books, one_increment) = run(1 << 40);
+    assert!(books == unbounded, "budget 2^40 changed the books");
+    assert!(
+        one_increment == stream,
+        "a one-increment finite budget reordered the access stream ({} vs {} accesses)",
+        one_increment.len(),
+        stream.len()
+    );
+}
+
+/// Tier-1 reach of the golden access traces: cfrac's safe-region stream
+/// at scale 1 — every stack scan, cleanup walk, page release and unscan
+/// of its deletions, in order — must match the committed Figure 10
+/// golden.
+#[test]
+fn cfrac_access_stream_matches_its_committed_golden() {
+    use bench_harness::golden::{golden_path, record_region_trace, GoldenTrace};
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path("fig10", "cfrac", 1));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let golden =
+        GoldenTrace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let fresh = record_region_trace(Workload::Cfrac, 1);
+    if let Err(e) = golden.compare(&fresh, 1) {
+        panic!("cfrac's access stream diverged from {}: {e}", path.display());
     }
 }
 
