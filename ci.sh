@@ -168,9 +168,10 @@ REGION_SANITIZE=1 cargo test -q -p conservative-gc --test scan_parity
 
 echo "== quick results against their committed baselines =="
 # Every deterministic counter of the quick smoke runs (footprint, cache
-# stalls, safety-cost and VM counts) must equal the committed quick-scale
-# baseline in results/quick/; only wall-clock fields are ignored.
-for bench in fig8 fig10 fig11 cq_bench; do
+# stalls, safety-cost and VM counts, allocation totals, checksums) must
+# equal the committed quick-scale baseline in results/quick/; only
+# wall-clock fields are ignored. fig9 carries the parallel-pass column.
+for bench in fig8 fig9 fig10 fig11 table2_3 cq_bench; do
     ./target/release/compare_results "results/quick/$bench.json" \
         "target/quick-results/$bench.json" --ignore-time >/dev/null
 done

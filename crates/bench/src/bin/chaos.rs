@@ -35,44 +35,13 @@
 //! `--list-scenarios` (print the scenario names, one per line, and
 //! exit). Exit code 0 means every invariant held.
 
+use bench_harness::rng::{fold, Rng, FNV_OFFSET};
 use bench_harness::{supervise, JobOutcome, SuperviseConfig};
 use region_core::{
     DeleteProgress, DescId, FaultPlan, FaultSite, ParRegionError, RegionConfig, RegionError,
     RegionId, RegionRuntime, SnapReader, SnapWriter, SnapshotError, TypeDescriptor,
 };
 use simheap::{Addr, HeapConfig, PAGE_SIZE};
-
-/// xorshift64* with a splitmix64-scrambled seed — the same shape the
-/// fault plan uses internally, but an independent stream: operation
-/// choice and fault dice must not perturb each other.
-struct Rng(u64);
-
-impl Rng {
-    fn seeded(seed: u64) -> Rng {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// FNV-1a fold; the digest is the soak's whole observable history.
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x1000_0000_01b3)
-}
 
 fn err_code(e: RegionError) -> u64 {
     match e {
@@ -1402,7 +1371,7 @@ fn run_vm_once(
         vm.runtime().violations()
     );
     let heap = vm.runtime().heap();
-    let mut heap_digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut heap_digest = FNV_OFFSET;
     for b in heap.snapshot(Addr::new(0), heap.brk().raw()) {
         heap_digest = fold(heap_digest, u64::from(b));
     }
@@ -1897,7 +1866,7 @@ fn scenario_par(seed: u64, ops: u64) -> Tally {
                         return 0;
                     }
                     let (a, _) = self.objs[rng.below(self.objs.len() as u64) as usize];
-                    let v = rng.next() as u32;
+                    let v = rng.next_u64() as u32;
                     self.rt.heap_mut().store_u32(a.offset(4), v);
                     fold(54, u64::from(v))
                 }
@@ -2226,7 +2195,7 @@ fn run_all(seed: u64, ops: u64, only: Option<&str>) -> RunSummary {
         scenarios.iter().map(|(name, _, _)| *name).eq(SCENARIO_NAMES),
         "SCENARIO_NAMES is out of sync with the scenario table"
     );
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut sum = RunSummary::default();
     for (name, f, n) in scenarios {
         if only.is_some_and(|o| o != name) {

@@ -20,6 +20,7 @@
 
 use std::time::{Duration, Instant};
 
+use bench_harness::rng::{fold, FNV_OFFSET};
 use bench_harness::runner::{bench_workers, write_results_json, Measurement};
 use bench_harness::supervise::{supervise, JobOutcome, SuperviseConfig};
 use cq_lang::bytecode::Program;
@@ -168,9 +169,7 @@ fn elide_enabled() -> bool {
 }
 
 fn checksum(output: &[i32]) -> u64 {
-    output.iter().fold(0xcbf2_9ce4_8422_2325, |h, &v| {
-        (h ^ v as u32 as u64).wrapping_mul(0x1000_0000_01b3)
-    })
+    output.iter().fold(FNV_OFFSET, |h, &v| fold(h, v as u32 as u64))
 }
 
 fn main() {
@@ -315,7 +314,7 @@ fn main() {
             });
         }
     }
-    match write_results_json("cq_bench", &rows) {
+    match write_results_json("cq_bench", &rows, None, &[]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write results json: {e}"),
     }

@@ -176,7 +176,7 @@ fn main() {
             );
         }
     }
-    match write_results_json("fig10", &rows) {
+    match write_results_json("fig10", &rows, None, &[]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

@@ -15,8 +15,8 @@
 //! and records `BENCH_elision.json` at the repo root.
 
 use bench_harness::runner::{
-    host_cores, measure_region, measure_region_elide, scale_from_env, today_utc,
-    write_results_json, Measurement,
+    measure_region, measure_region_elide, scale_from_env, write_bench_record, write_results_json,
+    Measurement,
 };
 use workloads::{RegionKind, Workload};
 
@@ -55,7 +55,7 @@ fn main() {
         rows.push(safe);
         rows.push(unsafe_);
     }
-    match write_results_json("fig11", &rows) {
+    match write_results_json("fig11", &rows, None, &[]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nfailed to write results json: {e}"),
     }
@@ -146,27 +146,16 @@ fn elision_ab(scale: u32) {
             opt_ms,
         ));
     }
-    let json = format!(
-        "{{\n  \"comment\": \"Sameregion barrier elision A/B: per-workload safe runs with the \
-         hand-annotated elidable stores off vs on, interleaved, min of {REPS}. Counters are \
-         deterministic (asserted across reps); wall times are the min. Elided stores charge \
-         2 instrs instead of the Figure-5 16/23/31.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"scale\": {scale},\n  \"reps\": {REPS},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
+    let comment = format!(
+        "Sameregion barrier elision A/B: per-workload safe runs with the hand-annotated \
+         elidable stores off vs on, interleaved, min of {REPS}. Counters are deterministic \
+         (asserted across reps); wall times are the min. Elided stores charge 2 instrs \
+         instead of the Figure-5 16/23/31."
+    );
+    let body = format!(
+        "\"scale\": {scale},\n  \"reps\": {REPS},\n  \"workloads\": {{\n{}\n  }}",
         blocks.join(",\n"),
     );
-    // `BENCH_ELISION_OUT` redirects the record (CI's --quick smoke must
-    // not clobber the committed default-scale BENCH_elision.json).
-    let out = std::env::var("BENCH_ELISION_OUT").unwrap_or_else(|_| "BENCH_elision.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_bench_record("elision", &comment, &body);
 }
 

@@ -11,7 +11,7 @@
 
 use bench_harness::runner::{
     kb, pages_kb, par_bench_workers, run_matrix, run_matrix_with, scale_from_env,
-    write_results_json_with_par, Job, ParColumn,
+    write_results_json, Job,
 };
 use workloads::{MallocKind, RegionKind, Workload};
 
@@ -123,11 +123,8 @@ fn main() {
     // A filtered run is a smoke check, not the artifact: only the full
     // matrix may replace results/fig8.json.
     if only.is_none() {
-        let par = ParColumn {
-            workers: par_workers,
-            total_ms: par_rows.iter().map(|m| ms(m.total)).collect(),
-        };
-        match write_results_json_with_par("fig8", &rows, Some(&par)) {
+        let par_ms: Vec<f64> = par_rows.iter().map(|m| ms(m.total)).collect();
+        match write_results_json("fig8", &rows, Some(par_workers), &[("par_total_ms", &par_ms)]) {
             Ok(path) => println!("\nwrote {}", path.display()),
             Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
         }

@@ -11,8 +11,8 @@
 //! owns its own simulated heap); rows print in matrix order.
 
 use bench_harness::runner::{
-    par_bench_workers, run_matrix, run_matrix_with, scale_from_env, write_results_json_with_par,
-    Job, Measurement, ParColumn,
+    par_bench_workers, run_matrix, run_matrix_with, scale_from_env, write_results_json, Job,
+    Measurement,
 };
 use workloads::{MallocKind, RegionKind, Workload};
 
@@ -118,11 +118,8 @@ fn main() {
         println!("{w:<9} {sm:>10.0} {pm:>10.0} {:>7.2}x", sm / pm.max(1e-9));
     }
 
-    let par = ParColumn {
-        workers: par_workers,
-        total_ms: par_rows.iter().map(|m| ms(m.total)).collect(),
-    };
-    match write_results_json_with_par("fig9", &rows, Some(&par)) {
+    let par_ms: Vec<f64> = par_rows.iter().map(|m| ms(m.total)).collect();
+    match write_results_json("fig9", &rows, Some(par_workers), &[("par_total_ms", &par_ms)]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

@@ -23,8 +23,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench_harness::rng::FNV_OFFSET;
 use bench_harness::runner::{
-    bench_workers, host_cores, par_bench_workers, scale_from_env, today_utc, write_results_json,
+    bench_workers, par_bench_workers, scale_from_env, write_bench_record, write_results_json,
     Measurement,
 };
 use rand::rngs::StdRng;
@@ -50,7 +51,9 @@ const SHARD_ROUNDS: u64 = 8;
 /// Region operations per logical shard per unit of scale.
 const SHARD_OPS_PER_SCALE: u64 = 24_000;
 
-/// FNV-1a, the same fold the golden traces use.
+/// FNV-1a with the standard 64-bit prime. The other digests fold with
+/// [`bench_harness::rng::fold`], whose multiplier differs; this one
+/// stays because the pool and shard digests are pinned with it.
 fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
@@ -111,7 +114,7 @@ fn run(workers: usize, scale: u32) -> RunResult {
     for cell in &cells {
         main_thread.exchange_ref(cell, None);
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     // The books must balance before any deletion: counted == recomputed
     // for every region, no dead-thread residue, no dangling cells.
     let audit = pool.audit();
@@ -165,7 +168,7 @@ impl<H: HeapBackend> ShardScript<H> {
             regions: Vec::new(),
             objs: Vec::new(),
             created: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: FNV_OFFSET,
         }
     }
 
@@ -329,7 +332,7 @@ fn run_shared(threads: usize, scale: u32) -> RunResult {
         done += n;
     }
     let elapsed = t.elapsed();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut regions = 0;
     let mut runtimes = Vec::new();
     for sc in scripts {
@@ -450,32 +453,23 @@ fn shard_ab(scale: u32) {
          threads; min {one_ms:.1} ms vs {n_ms:.1} ms"
     );
 
-    let json = format!(
-        "{{\n  \"comment\": \"Sharded-space A/B: one deterministic region script on a private \
-         SimHeap vs the single shard of a one-worker shared space (books bit-identical, \
-         asserted), and the {LOGICAL_SHARDS}-shard shared world driven by 1 vs {threads} OS \
-         threads (digest schedule-independent, asserted). Interleaved, min of {REPS}; counters \
-         deterministic across arms and reps.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"scale\": {scale},\n  \"reps\": {REPS},\n  \
+    let comment = format!(
+        "Sharded-space A/B: one deterministic region script on a private SimHeap vs the \
+         single shard of a one-worker shared space (books bit-identical, asserted), and the \
+         {LOGICAL_SHARDS}-shard shared world driven by 1 vs {threads} OS threads (digest \
+         schedule-independent, asserted). Interleaved, min of {REPS}; counters deterministic \
+         across arms and reps."
+    );
+    let body = format!(
+        "\"scale\": {scale},\n  \"reps\": {REPS},\n  \
          \"private_vs_shard\": {{ \"digest\": \"{digest:016x}\", \"regions\": {regions}, \
          \"loads\": {loads}, \"stores\": {stores}, \"brk\": {brk}, \
          \"min_total_ms_private\": {priv_ms:.1}, \"min_total_ms_shard\": {shard_ms:.1} }},\n  \
          \"shared_world\": {{ \"digest\": \"{shared_digest:016x}\", \"logical_shards\": \
          {LOGICAL_SHARDS}, \"threads_ab\": [1, {threads}], \"min_total_ms_1_thread\": \
-         {one_ms:.1}, \"min_total_ms_n_threads\": {n_ms:.1} }}\n}}\n",
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
+         {one_ms:.1}, \"min_total_ms_n_threads\": {n_ms:.1} }}"
     );
-    let out = std::env::var("BENCH_SHARD_OUT").unwrap_or_else(|_| "BENCH_shard.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_bench_record("shard", &comment, &body);
 }
 
 fn main() {
@@ -546,7 +540,7 @@ fn main() {
         measurement("shard1", &shard1),
         measurement("shardN", &shardn),
     ];
-    match write_results_json("par_regions", &rows) {
+    match write_results_json("par_regions", &rows, None, &[]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

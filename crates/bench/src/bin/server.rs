@@ -23,7 +23,7 @@
 //! redirects, so CI's quick smoke does not clobber the committed
 //! default-scale record).
 
-use bench_harness::runner::{host_cores, today_utc, write_results_json_full, LatencyColumn};
+use bench_harness::runner::{write_bench_record, write_results_json};
 use bench_harness::{install_service_panic_filter, run_service, Measurement, ServiceConfig, ServiceReport};
 
 /// Thread counts the books must be invariant across. The last entry is
@@ -216,33 +216,34 @@ fn main() {
     );
 
     let rows = [measurement("svc1", r1), measurement("svcN", rn)];
-    let lat = LatencyColumn {
-        p50_us: vec![r1.p50_us(), rn.p50_us()],
-        p99_us: vec![r1.p99_us(), rn.p99_us()],
-        p999_us: vec![r1.p999_us(), rn.p999_us()],
-        pause_p50_us: vec![r1.pause_p50_us(), rn.pause_p50_us()],
-        pause_p99_us: vec![r1.pause_p99_us(), rn.pause_p99_us()],
-    };
-    match write_results_json_full("server", &rows, None, Some(&lat)) {
+    let lat: [(&str, &[f64]); 5] = [
+        ("p50_us", &[r1.p50_us(), rn.p50_us()]),
+        ("p99_us", &[r1.p99_us(), rn.p99_us()]),
+        ("p999_us", &[r1.p999_us(), rn.p999_us()]),
+        ("pause_p50_us", &[r1.pause_p50_us(), rn.pause_p50_us()]),
+        ("pause_p99_us", &[r1.pause_p99_us(), rn.pause_p99_us()]),
+    ];
+    match write_results_json("server", &rows, None, &lat) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }
 
     let l = &rn.ledger;
-    let json = format!(
-        "{{\n  \"comment\": \"Region service under adversity: {} sessions serving seeded \
-         request traffic on one shared address space, with injected allocation faults \
-         (bounded deterministic retry), injected worker panics (quarantine + reap), \
-         footprint watermarks (degrade, then shed with a typed error), and a rotating \
-         pointer-bearing index region whose deletion runs through the incremental \
-         deleteregion budget. Books asserted byte-identical at 1/2/{last} OS threads, \
-         across same-seed reruns, and across the deletion budget (bounded vs \
-         stop-the-world); ledger conserved (submitted == completed + shed + failed); \
-         clean audit and sanitize every round. Latencies and pauses are wall clock and \
-         excluded from the books; latency_stw_us replays the identical run with the \
-         monolithic deleteregion for the pause-time A/B.\",\n  \
-         \"date\": \"{}\",\n  \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  \
-         \"config\": {{ \"seed\": {seed}, \"quick\": {quick}, \"sessions\": {}, \
+    let comment = format!(
+        "Region service under adversity: {} sessions serving seeded request traffic on one \
+         shared address space, with injected allocation faults (bounded deterministic retry), \
+         injected worker panics (quarantine + reap), footprint watermarks (degrade, then shed \
+         with a typed error), and a rotating pointer-bearing index region whose deletion runs \
+         through the incremental deleteregion budget. Books asserted byte-identical at \
+         1/2/{last} OS threads, across same-seed reruns, and across the deletion budget \
+         (bounded vs stop-the-world); ledger conserved (submitted == completed + shed + \
+         failed); clean audit and sanitize every round. Latencies and pauses are wall clock \
+         and excluded from the books; latency_stw_us replays the identical run with the \
+         monolithic deleteregion for the pause-time A/B.",
+        cfg.sessions,
+    );
+    let body = format!(
+        "\"config\": {{ \"seed\": {seed}, \"quick\": {quick}, \"sessions\": {}, \
          \"requests_per_session\": {}, \"rounds\": {}, \"soft_pages\": {}, \
          \"hard_pages\": {}, \"max_attempts\": {}, \"fault_one_in\": {}, \
          \"panic_one_in\": {}, \"delete_budget\": \"{budget_str}\", \
@@ -259,11 +260,7 @@ fn main() {
          \"throughput_rps\": {:.0},\n  \
          \"footprint\": {{ \"high_water_pages\": {}, \"final_pages\": {} }},\n  \
          \"isolation\": {{ \"quarantined\": {}, \"reaped\": {}, \"sanitize_runs\": {} }},\n  \
-         \"books\": \"{:016x}\",\n  \"threads_ab\": [1, 2, {last}]\n}}\n",
-        cfg.sessions,
-        today_utc(),
-        host_cores(),
-        std::env::consts::OS,
+         \"books\": \"{:016x}\",\n  \"threads_ab\": [1, 2, {last}]",
         cfg.sessions,
         cfg.requests_per_session,
         cfg.rounds,
@@ -305,12 +302,5 @@ fn main() {
         rn.sanitize_runs,
         rn.digest,
     );
-    let out = std::env::var("BENCH_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".into());
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_bench_record("server", &comment, &body);
 }

@@ -82,7 +82,7 @@ fn main() {
             );
         }
     }
-    match write_results_json("table2_3", &rows) {
+    match write_results_json("table2_3", &rows, None, &[]) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\nwarning: could not write results JSON: {e}"),
     }

@@ -80,11 +80,10 @@ pub fn snapshot_divergence(golden: &[u8], fresh: &[u8]) -> Option<String> {
 fn snapshot_fields(bytes: &[u8]) -> Result<Vec<(String, u64)>, region_core::SnapshotError> {
     use region_core::{SnapReader, SNAPSHOT_MAGIC};
 
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    use crate::rng::{fold, FNV_OFFSET};
+
     fn fnv(bytes: &[u8]) -> u64 {
-        bytes
-            .iter()
-            .fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+        bytes.iter().fold(FNV_OFFSET, |h, &b| fold(h, u64::from(b)))
     }
 
     let mut r = SnapReader::new(bytes);

@@ -46,6 +46,8 @@
 use simheap::{Access, AccessKind, AccessSink};
 use workloads::{RegionEnv, RegionKind, Workload};
 
+use crate::rng::{fold, FNV_OFFSET};
+
 /// Runs the safe-region variant of a workload with a [`TraceRecorder`]
 /// attached, returning the finished recording.
 pub fn record_region_trace(w: Workload, scale: u32) -> TraceRecorder {
@@ -67,13 +69,6 @@ pub struct TraceRecorder {
     pub total: u64,
     /// FNV-1a hash over every access observed.
     pub hash: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
 }
 
 fn access_word(a: Access) -> u64 {

@@ -21,6 +21,7 @@
 pub mod diff;
 pub mod golden;
 pub mod results;
+pub mod rng;
 pub mod runner;
 pub mod server;
 pub mod supervise;
@@ -28,9 +29,8 @@ pub mod supervise;
 pub use diff::changed_lines;
 pub use runner::{
     bench_workers, host_cores, measure_malloc, measure_region, measure_region_slow, results_json,
-    results_json_full, run_matrix, run_matrix_checked, run_matrix_with, scale_from_env,
-    write_results_json, write_results_json_full, Job, LatencyColumn, Measurement,
-    RESULTS_SCHEMA_VERSION,
+    run_matrix, run_matrix_checked, run_matrix_with, scale_from_env, write_results_json, Job,
+    Measurement, RESULTS_SCHEMA_VERSION,
 };
 pub use server::{
     install_service_panic_filter, run_service, Ledger, ServiceConfig, ServiceReport,

@@ -1,18 +1,43 @@
-//! Parsing and comparison of the versioned `results/*.json` documents.
+//! The results-v3 row schema, and the parsing and comparison of the
+//! `results/*.json` documents.
 //!
-//! The harness has no serialization dependency, so this is a minimal
-//! hand-rolled JSON reader — complete for the documents
-//! [`results_json`](crate::runner::results_json) emits (objects, arrays,
-//! strings without exotic escapes, numbers, booleans, null), not a
-//! general-purpose parser.
+//! [`COLUMNS`] is the one list of row columns. Each entry says where
+//! [`results_json`](crate::runner::results_json) takes the cell from
+//! ([`Source`]) and how [`compare_docs_full`] reads it: a cell only one
+//! document carries ([`Missing`]), and a cell whose value differs
+//! ([`Drift`]). The writer and the comparator are each one loop over it,
+//! so adding a column is one table line at the place it should appear
+//! in each row:
 //!
-//! [`compare_docs`] implements the regression gate used by the
-//! `compare_results` binary: two documents must have the same schema
-//! version, the same row set (workload × allocator, in order), identical
-//! *deterministic* fields (simulated counters and checksums), and
-//! wall-clock fields within a tolerance.
+//! * a deterministic counter of the run (simulated work, a checksum) is
+//!   [`Drift::Exact`]; it is [`Missing::Error`], or [`Missing::Zero`]
+//!   when committed documents predate it and its absence meant zero;
+//! * a wall-clock cell that gates is [`Drift::Time`] ([`Drift::ParTime`]
+//!   for the parallel pass, whose fan-out is `par_workers`); one that
+//!   must never gate, like a tail quantile, is [`Drift::Warn`]. A time
+//!   column newer than the committed documents is [`Missing::Equal`];
+//! * a value the [`Measurement`] does not hold is [`Source::Extra`], and
+//!   callers pass it to the writer as `(name, one value per row)`.
+//!
+//! A new column changes no existing document: the writer leaves out a
+//! cell it has no value for. Bump
+//! [`RESULTS_SCHEMA_VERSION`](crate::runner::RESULTS_SCHEMA_VERSION) only
+//! when an existing cell changes shape.
+//!
+//! The harness has no serialization dependency, so [`Json`] is a minimal
+//! hand-rolled reader — complete for the documents the writer emits
+//! (objects, arrays, strings without exotic escapes, numbers, booleans,
+//! null), not a general-purpose parser. Integer literals stay exact.
+//!
+//! [`compare_docs_full`] is the regression gate of the `compare_results`
+//! binary: two documents must have the same schema version, the same
+//! row set (workload × allocator, in order), identical deterministic
+//! cells, and wall-clock cells within a tolerance.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
+
+use crate::runner::Measurement;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +46,10 @@ pub enum Json {
     Null,
     /// `true`/`false`.
     Bool(bool),
-    /// Any number (parsed as `f64`, which is exact for our counters up
-    /// to 2^53 — far beyond anything the simulator produces).
+    /// An integer literal, kept exact: checksums use all 64 bits, which
+    /// an `f64` would round.
+    Int(i128),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -53,9 +80,10 @@ impl Json {
         }
     }
 
-    /// This value as a number, if it is one.
+    /// This value as a number, if it is one (integers may round).
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -124,39 +152,38 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(Json::Num)
+    let text = std::str::from_utf8(&b[start..*pos]).unwrap_or("");
+    let int = text.parse().ok().map(Json::Int);
+    int.or_else(|| text.parse().ok().map(Json::Num))
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
-    let mut out = String::new();
+    let mut out = Vec::new();
     loop {
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return String::from_utf8(out).map_err(|e| format!("bad UTF-8 in string: {e}"));
             }
             Some(b'\\') => {
                 *pos += 1;
                 let escaped = match b.get(*pos) {
-                    Some(b'"') => '"',
-                    Some(b'\\') => '\\',
-                    Some(b'/') => '/',
-                    Some(b'n') => '\n',
-                    Some(b't') => '\t',
+                    Some(b'"') => b'"',
+                    Some(b'\\') => b'\\',
+                    Some(b'/') => b'/',
+                    Some(b'n') => b'\n',
+                    Some(b't') => b'\t',
                     other => return Err(format!("unsupported escape {other:?}")),
                 };
                 out.push(escaped);
                 *pos += 1;
             }
             Some(&c) => {
-                // Multi-byte UTF-8 sequences pass through byte-wise.
-                out.push(c as char);
+                // Multi-byte UTF-8 sequences are reassembled at the end.
+                out.push(c);
                 *pos += 1;
             }
         }
@@ -212,48 +239,98 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 // ----------------------------------------------------------------------
-// Results comparison
+// The row schema
 // ----------------------------------------------------------------------
 
-/// Row fields that are pure functions of the simulation and must match
-/// **exactly** between runs of the same code.
-const EXACT_FIELDS: &[&str] = &[
-    "os_pages",
-    "total_allocs",
-    "total_bytes",
-    "max_live_bytes",
-    "safety_instrs",
-    "read_stall_cycles",
-    "write_stall_cycles",
-    "checksum",
-];
+/// How [`compare_docs_full`] reads a cell that only one document carries.
+/// A cell missing from both documents always compares equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Missing {
+    /// A gating difference: both documents must carry the column.
+    Error,
+    /// Equal: the other document predates the column.
+    Equal,
+    /// Zero: older documents left the counter out, which meant zero.
+    Zero,
+}
 
-/// Exact fields added after the first recorded documents. Older files
-/// simply lack the key, which means "zero", not "different run" — so a
-/// missing cell compares equal to an explicit 0.
-const EXACT_FIELDS_DEFAULT_ZERO: &[&str] = &["barriers_elided"];
+/// How [`compare_docs_full`] treats a cell whose value differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Drift {
+    /// A deterministic counter: any difference gates.
+    Exact,
+    /// Wall clock: drift beyond the tolerance gates, unless the documents
+    /// disagree on `workers`, which makes it a warning.
+    Time,
+    /// Parallel-pass wall clock: as [`Drift::Time`], and also a warning
+    /// when the documents disagree on `par_workers`.
+    ParTime,
+    /// Wall clock that never gates: tail quantiles of a single run are
+    /// scheduling noise, so drift beyond the tolerance is a warning.
+    Warn,
+}
 
-/// Row fields measured in wall-clock time; compared within a tolerance
-/// (or ignored entirely with `ignore_time`).
-const TIME_FIELDS: &[&str] = &["total_ms", "mem_ms"];
+/// Where [`results_json`](crate::runner::results_json) takes a cell from.
+#[derive(Clone, Copy, Debug)]
+pub enum Source {
+    /// A duration of the measurement, written in ms to three decimals.
+    Ms(fn(&Measurement) -> Duration),
+    /// A counter of the measurement; `None` (a run without that counter)
+    /// leaves the cell out.
+    Count(fn(&Measurement) -> Option<u64>),
+    /// A per-row value the caller passes next to the rows, written to
+    /// three decimals; the cell is left out when the caller passes none.
+    Extra,
+}
 
-/// Time fields added after the first recorded documents (the
-/// parallel-pass column). Unlike [`TIME_FIELDS`], a cell present in only
-/// one document compares **equal** — an old file simply predates the
-/// column, which is not a regression. When both documents carry the cell
-/// it gets the usual tolerance check, downgraded to a warning when the
-/// documents disagree on `workers` *or* `par_workers`.
-const OPT_TIME_FIELDS: &[&str] = &["par_total_ms"];
+/// One column of a results row: the cell's source, and how the
+/// comparator reads it.
+#[derive(Clone, Copy, Debug)]
+pub struct Column {
+    /// The row key.
+    pub name: &'static str,
+    /// Where the writer takes the cell from.
+    pub source: Source,
+    /// How a cell that only one document carries reads.
+    pub missing: Missing,
+    /// How a differing cell is treated.
+    pub drift: Drift,
+}
 
-/// Tail-latency columns recorded by the region-server bench. Like
-/// [`OPT_TIME_FIELDS`], a cell present in only one document compares
-/// **equal** (old files predate the columns). Unlike every other time
-/// field, drift is *always* a warning, never an error: tail quantiles
-/// of a single run are scheduling noise on a loaded host, and the
-/// server's correctness gate is its deterministic ledger, not its
-/// latency.
-const LATENCY_TIME_FIELDS: &[&str] =
-    &["p50_us", "p99_us", "p999_us", "pause_p50_us", "pause_p99_us"];
+const fn col(name: &'static str, source: Source, missing: Missing, drift: Drift) -> Column {
+    Column { name, source, missing, drift }
+}
+
+/// Every row column after `workload` and `allocator`, in emission order.
+/// The writer and the comparator are each one loop over this table.
+pub const COLUMNS: &[Column] = {
+    use Drift::*;
+    use Missing::*;
+    use Source::*;
+    &[
+        col("total_ms", Ms(|m| m.total), Error, Time),
+        col("mem_ms", Ms(|m| m.mem), Error, Time),
+        col("par_total_ms", Extra, Equal, ParTime),
+        col("p50_us", Extra, Equal, Warn),
+        col("p99_us", Extra, Equal, Warn),
+        col("p999_us", Extra, Equal, Warn),
+        col("pause_p50_us", Extra, Equal, Warn),
+        col("pause_p99_us", Extra, Equal, Warn),
+        col("os_pages", Count(|m| Some(m.os_pages)), Error, Exact),
+        col("total_allocs", Count(|m| Some(m.stats.total_allocs)), Error, Exact),
+        col("total_bytes", Count(|m| Some(m.stats.total_bytes)), Error, Exact),
+        col("max_live_bytes", Count(|m| Some(m.stats.max_live_bytes)), Error, Exact),
+        col("safety_instrs", Count(|m| m.costs.map(|c| c.total_instrs())), Error, Exact),
+        col("barriers_elided", Count(|m| m.costs.map(|c| c.barriers_elided)), Zero, Exact),
+        col("read_stall_cycles", Count(|m| m.cache.map(|c| c.read_stall_cycles)), Error, Exact),
+        col("write_stall_cycles", Count(|m| m.cache.map(|c| c.write_stall_cycles)), Error, Exact),
+        col("checksum", Count(|m| Some(m.checksum)), Error, Exact),
+    ]
+};
+
+// ----------------------------------------------------------------------
+// Results comparison
+// ----------------------------------------------------------------------
 
 /// Outcome of a document comparison, split by severity.
 ///
@@ -279,22 +356,10 @@ impl Comparison {
     }
 }
 
-/// Compares two parsed results documents. `tolerance_pct` bounds the
-/// allowed relative regression of time fields (e.g. `25.0` = new may be
-/// up to 25 % slower *or faster* than old). Returns every **gating**
-/// difference found; an empty vector means the documents agree (there
-/// may still be advisory warnings — use [`compare_docs_full`] to see
-/// them).
-pub fn compare_docs(
-    old: &Json,
-    new: &Json,
-    tolerance_pct: f64,
-    ignore_time: bool,
-) -> Vec<String> {
-    compare_docs_full(old, new, tolerance_pct, ignore_time).errors
-}
-
-/// [`compare_docs`] with the full severity split.
+/// Compares two parsed results documents, one loop over [`COLUMNS`] per
+/// row. `tolerance_pct` bounds the allowed relative drift of time cells
+/// (e.g. `25.0` = new may be up to 25 % slower *or faster* than old);
+/// `ignore_time` skips every time cell.
 pub fn compare_docs_full(
     old: &Json,
     new: &Json,
@@ -302,166 +367,119 @@ pub fn compare_docs_full(
     ignore_time: bool,
 ) -> Comparison {
     let mut cmp = Comparison::default();
-    let diffs = &mut cmp.errors;
     let version = |doc: &Json| doc.get("schema_version").and_then(Json::as_num);
     match (version(old), version(new)) {
         (Some(a), Some(b)) if a == b => {}
         (a, b) => {
-            diffs.push(format!("schema_version mismatch: old {a:?}, new {b:?}"));
+            cmp.errors.push(format!("schema_version mismatch: old {a:?}, new {b:?}"));
             return cmp; // shapes may differ arbitrarily across versions
         }
     }
     if old.get("bench").and_then(Json::as_str) != new.get("bench").and_then(Json::as_str) {
-        diffs.push("bench name mismatch".to_string());
+        cmp.errors.push("bench name mismatch".to_string());
     }
-    // Documents produced with different worker fan-outs have incomparable
-    // wall-clock fields: downgrade time drift to warnings.
-    let workers = |doc: &Json| doc.get("workers").and_then(Json::as_num);
-    let workers_differ = match (workers(old), workers(new)) {
+    // Documents produced with different fan-outs have incomparable wall
+    // clocks: downgrade time drift to warnings. A document without
+    // `par_workers` predates the column; that alone is not worth a
+    // warning (its row cells are missing-as-equal).
+    let mut differs = |key: &str, what: &str| match (
+        old.get(key).and_then(Json::as_num),
+        new.get(key).and_then(Json::as_num),
+    ) {
         (Some(a), Some(b)) if a != b => {
-            cmp.warnings.push(format!(
-                "workers differ (old {a}, new {b}): time fields compared advisorily"
-            ));
+            cmp.warnings
+                .push(format!("{key} differ (old {a}, new {b}): {what} compared advisorily"));
             true
         }
         _ => false,
     };
-    // Same logic for the parallel pass: its wall clock is only
-    // comparable when both documents fanned the par pass out equally.
-    // A document without `par_workers` predates the column; that alone
-    // is not worth a warning (the row cells are missing-as-equal).
-    let par_workers = |doc: &Json| doc.get("par_workers").and_then(Json::as_num);
-    let par_workers_differ = match (par_workers(old), par_workers(new)) {
-        (Some(a), Some(b)) if a != b => {
-            cmp.warnings.push(format!(
-                "par_workers differ (old {a}, new {b}): parallel time fields compared advisorily"
-            ));
-            true
-        }
-        _ => false,
-    };
-    let diffs = &mut cmp.errors;
+    let workers_differ = differs("workers", "time fields");
+    let par_workers_differ = differs("par_workers", "parallel time fields") || workers_differ;
     let (Some(old_rows), Some(new_rows)) = (
         old.get("rows").and_then(Json::as_arr),
         new.get("rows").and_then(Json::as_arr),
     ) else {
-        diffs.push("missing rows array".to_string());
+        cmp.errors.push("missing rows array".to_string());
         return cmp;
     };
     if old_rows.len() != new_rows.len() {
-        diffs.push(format!("row count: old {}, new {}", old_rows.len(), new_rows.len()));
+        cmp.errors.push(format!("row count: old {}, new {}", old_rows.len(), new_rows.len()));
         return cmp;
     }
     for (i, (o, n)) in old_rows.iter().zip(new_rows).enumerate() {
-        let label = |row: &Json| {
+        let identity = |row: &Json| {
             format!(
                 "{}/{}",
                 row.get("workload").and_then(Json::as_str).unwrap_or("?"),
                 row.get("allocator").and_then(Json::as_str).unwrap_or("?"),
             )
         };
-        if label(o) != label(n) {
-            cmp.errors.push(format!("row {i}: identity changed, {} -> {}", label(o), label(n)));
+        let label = identity(o);
+        if label != identity(n) {
+            cmp.errors.push(format!("row {i}: identity changed, {label} -> {}", identity(n)));
             continue;
         }
-        for &field in EXACT_FIELDS {
-            match (o.get(field).and_then(Json::as_num), n.get(field).and_then(Json::as_num)) {
-                (Some(a), Some(b)) if a == b => {}
-                (None, None) => {}
-                (a, b) => cmp.errors.push(format!(
-                    "row {i} ({}): {field} changed, old {a:?}, new {b:?}",
-                    label(o)
-                )),
+        for c in COLUMNS {
+            if ignore_time && c.drift != Drift::Exact {
+                continue;
             }
-        }
-        for &field in EXACT_FIELDS_DEFAULT_ZERO {
-            let a = o.get(field).and_then(Json::as_num).unwrap_or(0.0);
-            let b = n.get(field).and_then(Json::as_num).unwrap_or(0.0);
-            if a != b {
-                cmp.errors.push(format!(
-                    "row {i} ({}): {field} changed, old {a:?}, new {b:?}",
-                    label(o)
-                ));
-            }
-        }
-        if ignore_time {
-            continue;
-        }
-        for &field in TIME_FIELDS {
-            match (o.get(field).and_then(Json::as_num), n.get(field).and_then(Json::as_num)) {
-                (Some(a), Some(b)) => {
-                    // Sub-millisecond cells are all noise; skip them.
-                    if a < 1.0 && b < 1.0 {
-                        continue;
-                    }
-                    let rel = (b - a).abs() / a.max(1e-9) * 100.0;
-                    if rel > tolerance_pct {
-                        let diff = format!(
-                            "row {i} ({}): {field} moved {rel:.1}% (old {a:.3} ms, new {b:.3} \
-                             ms), tolerance {tolerance_pct}%",
-                            label(o)
-                        );
-                        if workers_differ {
-                            cmp.warnings.push(diff);
-                        } else {
-                            cmp.errors.push(diff);
-                        }
-                    }
+            let (a, b) = match (o.get(c.name), n.get(c.name), c.missing) {
+                (Some(a), Some(b), _) => (a, b),
+                (None, None, _) | (_, _, Missing::Equal) => continue,
+                (a, b, Missing::Zero) => (a.unwrap_or(&Json::Int(0)), b.unwrap_or(&Json::Int(0))),
+                (a, b, Missing::Error) => {
+                    cmp.errors.push(format!(
+                        "row {i} ({label}): {} present in one document only (old {}, new {})",
+                        c.name,
+                        show(a),
+                        show(b)
+                    ));
+                    continue;
                 }
-                (None, None) => {}
-                (a, b) => cmp.errors.push(format!(
-                    "row {i} ({}): {field} present in one document only (old {a:?}, new {b:?})",
-                    label(o)
-                )),
-            }
-        }
-        for &field in OPT_TIME_FIELDS {
-            // Present in only one document = the other predates the
-            // column: compares equal, by design.
-            let (Some(a), Some(b)) =
-                (o.get(field).and_then(Json::as_num), n.get(field).and_then(Json::as_num))
-            else {
-                continue;
             };
-            if a < 1.0 && b < 1.0 {
-                continue;
-            }
-            let rel = (b - a).abs() / a.max(1e-9) * 100.0;
-            if rel > tolerance_pct {
-                let diff = format!(
-                    "row {i} ({}): {field} moved {rel:.1}% (old {a:.3} ms, new {b:.3} ms), \
-                     tolerance {tolerance_pct}%",
-                    label(o)
-                );
-                if workers_differ || par_workers_differ {
-                    cmp.warnings.push(diff);
-                } else {
-                    cmp.errors.push(diff);
+            if c.drift == Drift::Exact {
+                if a != b {
+                    cmp.errors.push(format!(
+                        "row {i} ({label}): {} changed, old {}, new {}",
+                        c.name,
+                        show(Some(a)),
+                        show(Some(b))
+                    ));
                 }
-            }
-        }
-        for &field in LATENCY_TIME_FIELDS {
-            // Missing in either document = the other predates the
-            // columns: compares equal, by design.
-            let (Some(a), Some(b)) =
-                (o.get(field).and_then(Json::as_num), n.get(field).and_then(Json::as_num))
-            else {
-                continue;
-            };
-            if a < 1.0 && b < 1.0 {
                 continue;
             }
+            let (Some(a), Some(b)) = (a.as_num(), b.as_num()) else { continue };
             let rel = (b - a).abs() / a.max(1e-9) * 100.0;
-            if rel > tolerance_pct {
-                cmp.warnings.push(format!(
-                    "row {i} ({}): {field} moved {rel:.1}% (old {a:.3} us, new {b:.3} us), \
-                     tolerance {tolerance_pct}% — advisory, tail latency never gates",
-                    label(o)
-                ));
+            // Cells under one unit are all noise.
+            if (a < 1.0 && b < 1.0) || rel <= tolerance_pct {
+                continue;
+            }
+            let unit = &c.name[c.name.len() - 2..]; // time columns end in _ms or _us
+            let diff = format!(
+                "row {i} ({label}): {} moved {rel:.1}% (old {a:.3} {unit}, new {b:.3} {unit}), \
+                 tolerance {tolerance_pct}%",
+                c.name
+            );
+            match c.drift {
+                Drift::Time if !workers_differ => cmp.errors.push(diff),
+                Drift::ParTime if !par_workers_differ => cmp.errors.push(diff),
+                Drift::Warn => {
+                    cmp.warnings.push(format!("{diff} — advisory, tail latency never gates"))
+                }
+                _ => cmp.warnings.push(diff),
             }
         }
     }
     cmp
+}
+
+/// A cell as the comparator's messages print it.
+fn show(cell: Option<&Json>) -> String {
+    match cell {
+        Some(Json::Int(n)) => n.to_string(),
+        Some(Json::Num(n)) => n.to_string(),
+        other => format!("{other:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -473,7 +491,7 @@ mod tests {
     #[test]
     fn parses_its_own_output() {
         let rows = run_matrix(&[Job::Region(Workload::Tile, RegionKind::Safe)], 1, false);
-        let doc = Json::parse(&results_json("fig_test", &rows)).expect("own output parses");
+        let doc = Json::parse(&results_json("fig_test", &rows, None, &[])).expect("own output parses");
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_num),
             Some(RESULTS_SCHEMA_VERSION as f64)
@@ -484,7 +502,7 @@ mod tests {
         assert_eq!(parsed_rows[0].get("workload").and_then(Json::as_str), Some("tile"));
         assert!(parsed_rows[0].get("checksum").and_then(Json::as_num).is_some());
         // And the document agrees with itself.
-        assert!(compare_docs(&doc, &doc, 25.0, false).is_empty());
+        assert!(compare_docs_full(&doc, &doc, 25.0, false).errors.is_empty());
     }
 
     #[test]
@@ -494,6 +512,36 @@ mod tests {
         assert_eq!(doc.get("b").and_then(Json::as_str), Some("x\"y"));
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters() {
+        let doc = Json::parse(r#"{"note": "gap — 5%", "café": "a\"é"}"#).unwrap();
+        assert_eq!(doc.get("note").and_then(Json::as_str), Some("gap — 5%"));
+        assert_eq!(doc.get("café").and_then(Json::as_str), Some("a\"é"));
+    }
+
+    #[test]
+    fn checksums_compare_on_all_64_bits() {
+        // Both checksums round to the same f64; as integers they differ.
+        let doc = |checksum: &str| {
+            Json::parse(&format!(
+                r#"{{"schema_version": 3, "bench": "fig8", "commit": "a", "workers": 1,
+                    "host_cores": 1, "rows": [
+                    {{"workload": "tile", "allocator": "Lea", "total_ms": 100.0,
+                     "mem_ms": 10.0, "os_pages": 7, "checksum": {checksum}}}]}}"#
+            ))
+            .unwrap()
+        };
+        let (old, new) = (doc("7615551339661593228"), doc("7615551339661593229"));
+        assert!(compare_docs_full(&old, &old, 25.0, false).is_ok());
+        let errors = compare_docs_full(&old, &new, 25.0, true).errors;
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("checksum changed, old 7615551339661593228, new 7615551339661593229"),
+            "{}",
+            errors[0]
+        );
     }
 
     #[test]
@@ -514,7 +562,7 @@ mod tests {
                  "mem_ms": 11.0, "os_pages": 7, "checksum": 5}]}"#,
         )
         .unwrap();
-        assert!(compare_docs(&old, &ok, 25.0, false).is_empty());
+        assert!(compare_docs_full(&old, &ok, 25.0, false).errors.is_empty());
 
         // 50% slower: flagged, unless time is ignored.
         let slow = Json::parse(
@@ -524,10 +572,10 @@ mod tests {
                  "mem_ms": 10.0, "os_pages": 7, "checksum": 5}]}"#,
         )
         .unwrap();
-        let diffs = compare_docs(&old, &slow, 25.0, false);
+        let diffs = compare_docs_full(&old, &slow, 25.0, false).errors;
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].contains("total_ms moved 50.0%"), "got: {}", diffs[0]);
-        assert!(compare_docs(&old, &slow, 25.0, true).is_empty());
+        assert!(compare_docs_full(&old, &slow, 25.0, true).errors.is_empty());
 
         // A changed deterministic counter is always an error.
         let wrong = Json::parse(
@@ -537,11 +585,11 @@ mod tests {
                  "mem_ms": 10.0, "os_pages": 8, "checksum": 5}]}"#,
         )
         .unwrap();
-        assert!(compare_docs(&old, &wrong, 25.0, true)[0].contains("os_pages"));
+        assert!(compare_docs_full(&old, &wrong, 25.0, true).errors[0].contains("os_pages"));
 
         // Schema version gates everything else.
         let v1 = Json::parse(r#"{"schema_version": 1, "rows": []}"#).unwrap();
-        assert!(compare_docs(&old, &v1, 25.0, false)[0].contains("schema_version"));
+        assert!(compare_docs_full(&old, &v1, 25.0, false).errors[0].contains("schema_version"));
     }
 
     #[test]
@@ -563,7 +611,7 @@ mod tests {
                  "barriers_elided": 0, "checksum": 5}]}"#,
         )
         .unwrap();
-        assert!(compare_docs(&old, &zero, 25.0, false).is_empty());
+        assert!(compare_docs_full(&old, &zero, 25.0, false).errors.is_empty());
 
         // But a rerun that actually elided barriers is a real difference.
         let elided = Json::parse(
@@ -574,7 +622,7 @@ mod tests {
                  "barriers_elided": 9, "checksum": 5}]}"#,
         )
         .unwrap();
-        assert!(compare_docs(&old, &elided, 25.0, false)[0].contains("barriers_elided"));
+        assert!(compare_docs_full(&old, &elided, 25.0, false).errors[0].contains("barriers_elided"));
     }
 
     #[test]
@@ -678,7 +726,7 @@ mod tests {
             cmp.errors
         );
         // ...unless time is ignored.
-        assert!(compare_docs(&base, &slow, 25.0, true).is_empty());
+        assert!(compare_docs_full(&base, &slow, 25.0, true).errors.is_empty());
 
         // Different par fan-out: the same drift is advisory.
         let wider = Json::parse(

@@ -9,6 +9,7 @@ use region_core::{AllocStats, SafetyCosts};
 use simheap::SimHeap;
 use workloads::{MallocEnv, MallocKind, RegionEnv, RegionKind, Workload};
 
+use crate::results::{Source, COLUMNS};
 use crate::supervise::{supervise, JobOutcome, SuperviseConfig};
 
 /// Locks the warm-heap pool, tolerating poison: a panic inside a matrix
@@ -452,54 +453,6 @@ fn run_matrix_checked_seeded(
 /// reruns are comparable with single-core baselines.
 pub const RESULTS_SCHEMA_VERSION: u64 = 3;
 
-/// The parallel-pass column attached to a results document: the worker
-/// count the pass fanned out to, and one wall-clock total per matrix row
-/// (same order as the serial rows). Kept separate from [`Measurement`]
-/// so documents without a parallel pass stay byte-identical to the
-/// pre-column format — `compare_results` treats the absent column as
-/// equal (see `OPT_TIME_FIELDS`).
-#[derive(Debug, Clone)]
-pub struct ParColumn {
-    /// How many workers the parallel pass used (`par_bench_workers()`).
-    pub workers: usize,
-    /// Wall-clock `total_ms` of each cell under the parallel pass, in
-    /// matrix order. Must be one entry per serial row.
-    pub total_ms: Vec<f64>,
-}
-
-/// Tail-latency columns attached by service-shaped benches (the region
-/// server): per-row p50/p99/p999 request latency in microseconds. Like
-/// [`ParColumn`], kept separate from [`Measurement`] so documents
-/// without the columns stay byte-identical to the older format —
-/// `compare_results` treats the absent columns as equal and, because
-/// latency is wall-clock shaped, downgrades drift to a warning (see
-/// `LATENCY_TIME_FIELDS`).
-#[derive(Debug, Clone)]
-pub struct LatencyColumn {
-    /// Median request latency per row, in microseconds.
-    pub p50_us: Vec<f64>,
-    /// 99th-percentile request latency per row, in microseconds.
-    pub p99_us: Vec<f64>,
-    /// 99.9th-percentile request latency per row, in microseconds.
-    pub p999_us: Vec<f64>,
-    /// Median `deleteregion`-increment pause per row, in microseconds.
-    /// Leave empty to omit the pause columns entirely (documents written
-    /// before incremental deletion stay byte-identical; `compare_results`
-    /// treats the absent columns as equal).
-    pub pause_p50_us: Vec<f64>,
-    /// 99th-percentile `deleteregion`-increment pause per row, in
-    /// microseconds. Empty omits, like [`LatencyColumn::pause_p50_us`].
-    pub pause_p99_us: Vec<f64>,
-}
-
-impl LatencyColumn {
-    /// The pause-free column set: request quantiles only, pause columns
-    /// omitted from the document.
-    pub fn new(p50_us: Vec<f64>, p99_us: Vec<f64>, p999_us: Vec<f64>) -> LatencyColumn {
-        LatencyColumn { p50_us, p99_us, p999_us, pause_p50_us: Vec::new(), pause_p99_us: Vec::new() }
-    }
-}
-
 /// Where results documents are written: `results/` for a full-scale run,
 /// `target/quick-results/` for a `--quick` smoke run, so a smoke pass
 /// never overwrites the committed full-scale records.
@@ -511,39 +464,18 @@ fn results_dir() -> std::path::PathBuf {
     }
 }
 
-/// Serializes measurements as a versioned JSON document and writes them
-/// to `<results_dir()>/<name>.json` (creating the directory), returning
-/// the path. Hand-rolled: the harness has no serialization dependency.
-pub fn write_results_json(name: &str, rows: &[Measurement]) -> std::io::Result<std::path::PathBuf> {
-    write_results_json_with_par(name, rows, None)
-}
-
-/// [`write_results_json`] with an optional parallel-pass column. `None`
-/// writes the exact pre-column document.
-pub fn write_results_json_with_par(
+/// Writes [`results_json`] to `<results_dir()>/<name>.json` (creating
+/// the directory), returning the path.
+pub fn write_results_json(
     name: &str,
     rows: &[Measurement],
-    par: Option<&ParColumn>,
+    par_workers: Option<usize>,
+    extra: &[(&str, &[f64])],
 ) -> std::io::Result<std::path::PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, results_json_with_par(name, rows, par))?;
-    Ok(path)
-}
-
-/// [`write_results_json_with_par`] plus the optional tail-latency
-/// columns. `None` for both extras writes the exact pre-column document.
-pub fn write_results_json_full(
-    name: &str,
-    rows: &[Measurement],
-    par: Option<&ParColumn>,
-    lat: Option<&LatencyColumn>,
-) -> std::io::Result<std::path::PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, results_json_full(name, rows, par, lat))?;
+    std::fs::write(&path, results_json(name, rows, par_workers, extra))?;
     Ok(path)
 }
 
@@ -565,99 +497,74 @@ fn commit_id() -> String {
     }
 }
 
-/// The JSON document written by [`write_results_json`]: a schema-v3
-/// envelope (`schema_version`, `bench`, `commit`, `workers`,
-/// `host_cores`) wrapping the row array. Deterministic counters are
-/// worker-count-independent (each cell owns its `SimHeap`); wall-clock
-/// fields are not, which is why the envelope records how wide the run
-/// fanned out — `compare_results` downgrades time drift to a warning
-/// when the two documents disagree on `workers`.
-pub fn results_json(name: &str, rows: &[Measurement]) -> String {
-    results_json_with_par(name, rows, None)
-}
-
-/// [`results_json`] with an optional parallel-pass column: the envelope
-/// gains `par_workers` and every row a `par_total_ms` cell. With `None`
-/// the output is byte-identical to the pre-column format, so old and new
-/// documents diff cleanly.
-pub fn results_json_with_par(name: &str, rows: &[Measurement], par: Option<&ParColumn>) -> String {
-    results_json_full(name, rows, par, None)
-}
-
-/// [`results_json_with_par`] plus the optional tail-latency columns:
-/// every row gains `p50_us`/`p99_us`/`p999_us` cells. With `None` the
-/// output is byte-identical to [`results_json_with_par`], so service
-/// documents diff cleanly against plain ones.
-pub fn results_json_full(
+/// The results-v3 document: an envelope (`schema_version`, `bench`,
+/// `commit`, `workers`, `host_cores`, then `par_workers` when given)
+/// wrapping one row per measurement, each cell written as its
+/// [`COLUMNS`] entry says. Hand-rolled: the harness has no serialization
+/// dependency.
+///
+/// `extra` carries the [`Source::Extra`] columns as `(name, one value per
+/// row)`: the parallel pass's `par_total_ms`, which goes with
+/// `par_workers`, and the service's latency and pause quantiles. A
+/// column left out of `extra` is left out of every row, so documents
+/// without it keep their older bytes.
+///
+/// Deterministic counters are worker-count-independent (each cell owns
+/// its `SimHeap`); wall-clock fields are not, which is why the envelope
+/// records how wide the run fanned out — `compare_results` downgrades
+/// time drift to a warning when the two documents disagree on `workers`.
+pub fn results_json(
     name: &str,
     rows: &[Measurement],
-    par: Option<&ParColumn>,
-    lat: Option<&LatencyColumn>,
+    par_workers: Option<usize>,
+    extra: &[(&str, &[f64])],
 ) -> String {
-    if let Some(p) = par {
+    for &(col, values) in extra {
+        assert!(
+            COLUMNS.iter().any(|c| c.name == col && matches!(c.source, Source::Extra)),
+            "{col} is not an extra column of the results schema"
+        );
         assert_eq!(
-            p.total_ms.len(),
+            values.len(),
             rows.len(),
-            "parallel pass must cover the matrix: one par_total_ms per row"
+            "{col} must be omitted entirely or cover the matrix: one {col} per row"
         );
     }
-    if let Some(l) = lat {
-        assert!(
-            l.p50_us.len() == rows.len()
-                && l.p99_us.len() == rows.len()
-                && l.p999_us.len() == rows.len(),
-            "latency columns must cover the matrix: one quantile triple per row"
-        );
-        assert!(
-            (l.pause_p50_us.is_empty() && l.pause_p99_us.is_empty())
-                || (l.pause_p50_us.len() == rows.len() && l.pause_p99_us.len() == rows.len()),
-            "pause columns must be omitted entirely or cover the matrix"
-        );
-    }
+    assert_eq!(
+        par_workers.is_some(),
+        extra.iter().any(|&(col, _)| col == "par_total_ms"),
+        "par_workers goes with the par_total_ms column"
+    );
     let mut out = String::from("{\n");
     out.push_str(&format!("\"schema_version\": {RESULTS_SCHEMA_VERSION},\n"));
     out.push_str(&format!("\"bench\": \"{name}\",\n"));
     out.push_str(&format!("\"commit\": \"{}\",\n", commit_id()));
     out.push_str(&format!("\"workers\": {},\n", bench_workers()));
     out.push_str(&format!("\"host_cores\": {},\n", host_cores()));
-    if let Some(p) = par {
-        out.push_str(&format!("\"par_workers\": {},\n", p.workers));
+    if let Some(w) = par_workers {
+        out.push_str(&format!("\"par_workers\": {w},\n"));
     }
     out.push_str("\"rows\": [\n");
     for (i, m) in rows.iter().enumerate() {
-        let s = &m.stats;
-        out.push_str("  {");
-        out.push_str(&format!("\"workload\": \"{}\", ", m.workload));
-        out.push_str(&format!("\"allocator\": \"{}\", ", m.allocator));
-        out.push_str(&format!("\"total_ms\": {:.3}, ", m.total.as_secs_f64() * 1e3));
-        out.push_str(&format!("\"mem_ms\": {:.3}, ", m.mem.as_secs_f64() * 1e3));
-        if let Some(p) = par {
-            out.push_str(&format!("\"par_total_ms\": {:.3}, ", p.total_ms[i]));
-        }
-        if let Some(l) = lat {
-            out.push_str(&format!("\"p50_us\": {:.3}, ", l.p50_us[i]));
-            out.push_str(&format!("\"p99_us\": {:.3}, ", l.p99_us[i]));
-            out.push_str(&format!("\"p999_us\": {:.3}, ", l.p999_us[i]));
-            if !l.pause_p50_us.is_empty() {
-                out.push_str(&format!("\"pause_p50_us\": {:.3}, ", l.pause_p50_us[i]));
-                out.push_str(&format!("\"pause_p99_us\": {:.3}, ", l.pause_p99_us[i]));
-            }
-        }
-        out.push_str(&format!("\"os_pages\": {}, ", m.os_pages));
-        out.push_str(&format!("\"total_allocs\": {}, ", s.total_allocs));
-        out.push_str(&format!("\"total_bytes\": {}, ", s.total_bytes));
-        out.push_str(&format!("\"max_live_bytes\": {}, ", s.max_live_bytes));
-        if let Some(c) = &m.costs {
-            out.push_str(&format!("\"safety_instrs\": {}, ", c.total_instrs()));
-            out.push_str(&format!("\"barriers_elided\": {}, ", c.barriers_elided));
-        }
-        if let Some(c) = &m.cache {
-            out.push_str(&format!(
-                "\"read_stall_cycles\": {}, \"write_stall_cycles\": {}, ",
-                c.read_stall_cycles, c.write_stall_cycles
-            ));
-        }
-        out.push_str(&format!("\"checksum\": {}}}", m.checksum));
+        let cells: Vec<String> = COLUMNS
+            .iter()
+            .filter_map(|c| {
+                let value = match c.source {
+                    Source::Ms(d) => format!("{:.3}", d(m).as_secs_f64() * 1e3),
+                    Source::Count(n) => n(m)?.to_string(),
+                    Source::Extra => {
+                        format!("{:.3}", extra.iter().find(|&&(col, _)| col == c.name)?.1[i])
+                    }
+                };
+                Some(format!("\"{}\": {value}", c.name))
+            })
+            .collect();
+        out.push_str(&format!(
+            "  {{\"workload\": \"{}\", \"allocator\": \"{}\", {}}}",
+            m.workload,
+            m.allocator,
+            cells.join(", ")
+        ));
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n}\n");
@@ -681,6 +588,30 @@ pub fn today_utc() -> String {
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = yoe + era * 400 + i64::from(m <= 2);
     format!("{y:04}-{m:02}-{d:02}")
+}
+
+/// Writes a `BENCH_<name>.json` record: an object of `comment`, today's
+/// `date`, the `host`, then `body` (more members, each line after the
+/// first indented by its caller). `BENCH_<NAME>_OUT` redirects the file,
+/// so a `--quick` smoke run does not clobber the committed record. Exits
+/// with status 1 if the file cannot be written.
+pub fn write_bench_record(name: &str, comment: &str, body: &str) {
+    let json = format!(
+        "{{\n  \"comment\": \"{comment}\",\n  \"date\": \"{}\",\n  \
+         \"host\": {{ \"cores\": {}, \"os\": \"{}\" }},\n  {body}\n}}\n",
+        today_utc(),
+        host_cores(),
+        std::env::consts::OS,
+    );
+    let out = std::env::var(format!("BENCH_{}_OUT", name.to_uppercase()))
+        .unwrap_or_else(|_| format!("BENCH_{name}.json"));
+    match std::fs::write(&out, json) {
+        Ok(()) => println!("\nwrote {out}"),
+        Err(e) => {
+            eprintln!("failed to write {out}: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Formats a byte count as the paper's kbytes.
@@ -752,13 +683,11 @@ mod tests {
             Job::Region(Workload::Cfrac, RegionKind::Safe),
         ];
         let rows = run_matrix(&jobs, 1, false);
-        // None = byte-identical to the historical writer.
-        let plain = results_json("fig_test", &rows);
-        assert_eq!(plain, results_json_with_par("fig_test", &rows, None));
+        // No extras = the historical document.
+        let plain = results_json("fig_test", &rows, None, &[]);
         assert!(!plain.contains("par_"), "no par fields without a parallel pass");
-        // Some = envelope + one cell per row, nothing else moves.
-        let par = ParColumn { workers: 3, total_ms: vec![12.5, 0.25] };
-        let with = results_json_with_par("fig_test", &rows, Some(&par));
+        // The par column = envelope + one cell per row, nothing else moves.
+        let with = results_json("fig_test", &rows, Some(3), &[("par_total_ms", &[12.5, 0.25])]);
         assert!(with.contains("\"par_workers\": 3,"));
         assert!(with.contains("\"par_total_ms\": 12.500, "));
         assert!(with.contains("\"par_total_ms\": 0.250, "));
@@ -773,8 +702,7 @@ mod tests {
     #[should_panic(expected = "one par_total_ms per row")]
     fn par_column_must_cover_every_row() {
         let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let par = ParColumn { workers: 3, total_ms: Vec::new() };
-        let _ = results_json_with_par("fig_test", &rows, Some(&par));
+        let _ = results_json("fig_test", &rows, Some(3), &[("par_total_ms", &[])]);
     }
 
     #[test]
@@ -784,29 +712,29 @@ mod tests {
             Job::Region(Workload::Cfrac, RegionKind::Safe),
         ];
         let rows = run_matrix(&jobs, 1, false);
-        // None = byte-identical to the historical writer.
-        let plain = results_json_with_par("fig_test", &rows, None);
-        assert_eq!(plain, results_json_full("fig_test", &rows, None, None));
+        let plain = results_json("fig_test", &rows, None, &[]);
         assert!(!plain.contains("p50_us"), "no latency fields without a latency pass");
-        // Some = three cells per row, nothing else moves.
-        let lat =
-            LatencyColumn::new(vec![0.9, 1.1], vec![250.0, 260.5], vec![400.0, 410.25]);
-        let with = results_json_full("fig_test", &rows, None, Some(&lat));
+        // The quantiles = three cells per row, nothing else moves.
+        let lat: [(&str, &[f64]); 3] =
+            [("p50_us", &[0.9, 1.1]), ("p99_us", &[250.0, 260.5]), ("p999_us", &[400.0, 410.25])];
+        let with = results_json("fig_test", &rows, None, &lat);
         assert!(with.contains("\"p50_us\": 0.900, "));
         assert!(with.contains("\"p99_us\": 260.500, "));
         assert!(with.contains("\"p999_us\": 410.250, "));
         for f in ["p50_us", "p99_us", "p999_us"] {
             assert_eq!(with.matches(f).count(), rows.len(), "one {f} cell per row");
         }
-        // Empty pause vectors omit the pause columns entirely.
-        assert!(!with.contains("pause_p50_us"), "empty pause vectors must omit the columns");
-        // Populated ones add exactly two cells per row, nothing else moves.
-        let paused = LatencyColumn {
-            pause_p50_us: vec![2.0, 2.5],
-            pause_p99_us: vec![40.0, 41.5],
-            ..lat.clone()
-        };
-        let with_pause = results_json_full("fig_test", &rows, None, Some(&paused));
+        // Pause columns left out of `extra` are left out of the document.
+        assert!(!with.contains("pause_p50_us"), "omitted pause columns must stay out");
+        // Passed ones add exactly two cells per row, nothing else moves.
+        let paused = [
+            lat[0],
+            lat[1],
+            lat[2],
+            ("pause_p50_us", &[2.0, 2.5][..]),
+            ("pause_p99_us", &[40.0, 41.5][..]),
+        ];
+        let with_pause = results_json("fig_test", &rows, None, &paused);
         assert!(with_pause.contains("\"pause_p50_us\": 2.000, "));
         assert!(with_pause.contains("\"pause_p99_us\": 41.500, "));
         for f in ["pause_p50_us", "pause_p99_us"] {
@@ -815,23 +743,140 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one quantile triple per row")]
+    #[should_panic(expected = "one p99_us per row")]
     fn latency_columns_must_cover_every_row() {
         let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let lat = LatencyColumn::new(vec![1.0], Vec::new(), vec![2.0]);
-        let _ = results_json_full("fig_test", &rows, None, Some(&lat));
+        let lat: [(&str, &[f64]); 3] = [("p50_us", &[1.0]), ("p99_us", &[]), ("p999_us", &[2.0])];
+        let _ = results_json("fig_test", &rows, None, &lat);
     }
 
     #[test]
     #[should_panic(expected = "omitted entirely or cover the matrix")]
     fn pause_columns_must_cover_every_row_or_be_absent() {
         let rows = run_matrix(&[Job::Malloc(Workload::Cfrac, MallocKind::Lea)], 1, false);
-        let lat = LatencyColumn {
-            pause_p50_us: vec![1.0],
-            pause_p99_us: Vec::new(),
-            ..LatencyColumn::new(vec![1.0], vec![2.0], vec![3.0])
+        let lat: [(&str, &[f64]); 5] = [
+            ("p50_us", &[1.0]),
+            ("p99_us", &[2.0]),
+            ("p999_us", &[3.0]),
+            ("pause_p50_us", &[1.0]),
+            ("pause_p99_us", &[]),
+        ];
+        let _ = results_json("fig_test", &rows, None, &lat);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an extra column")]
+    fn extra_columns_must_be_in_the_schema() {
+        let _ = results_json("fig_test", &fixed_rows(), None, &[("p95_us", &[1.0, 2.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "par_workers goes with the par_total_ms column")]
+    fn par_workers_needs_its_column() {
+        let _ = results_json("fig_test", &fixed_rows(), Some(3), &[]);
+    }
+
+    /// Two fixed rows: a safe-region row with every optional counter and
+    /// a 64-bit checksum, and a malloc row with none.
+    fn fixed_rows() -> Vec<Measurement> {
+        let safe = Measurement {
+            workload: "tile",
+            allocator: "Safe",
+            total: Duration::from_nanos(12_345_678),
+            mem: Duration::from_nanos(1_500_400),
+            mem_estimate_ns: None,
+            os_pages: 7,
+            stats: AllocStats {
+                total_allocs: 100,
+                total_bytes: 4096,
+                max_live_bytes: 2048,
+                ..AllocStats::default()
+            },
+            inner_stats: None,
+            costs: Some(SafetyCosts {
+                barrier_instrs: 160,
+                scan_instrs: 30,
+                cleanup_instrs: 9,
+                barriers_elided: 2,
+                ..SafetyCosts::default()
+            }),
+            cache: Some(MemStats {
+                read_stall_cycles: 11,
+                write_stall_cycles: 13,
+                ..MemStats::default()
+            }),
+            checksum: 7_615_551_339_661_593_228,
         };
-        let _ = results_json_full("fig_test", &rows, None, Some(&lat));
+        let lea = Measurement {
+            workload: "tile",
+            allocator: "Lea",
+            total: Duration::from_micros(900),
+            mem: Duration::ZERO,
+            costs: None,
+            cache: None,
+            checksum: 5,
+            ..safe.clone()
+        };
+        vec![safe, lea]
+    }
+
+    #[test]
+    fn writer_bytes_match_the_historical_format() {
+        // Literals captured from the writer before the column table: the
+        // row bytes must not move for any shape of document.
+        let rows = fixed_rows();
+        let tail = |doc: &str| doc[doc.find("\"rows\": [").expect("rows")..].to_string();
+        let lat: [(&str, &[f64]); 3] =
+            [("p50_us", &[0.9, 1.1]), ("p99_us", &[250.0, 260.5]), ("p999_us", &[400.0, 410.25])];
+        let paused = [
+            lat[0],
+            lat[1],
+            lat[2],
+            ("pause_p50_us", &[2.0, 2.5][..]),
+            ("pause_p99_us", &[40.0, 41.5][..]),
+        ];
+        assert_eq!(
+            tail(&results_json("t", &rows, None, &[])),
+            r#""rows": [
+  {"workload": "tile", "allocator": "Safe", "total_ms": 12.346, "mem_ms": 1.500, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "safety_instrs": 199, "barriers_elided": 2, "read_stall_cycles": 11, "write_stall_cycles": 13, "checksum": 7615551339661593228},
+  {"workload": "tile", "allocator": "Lea", "total_ms": 0.900, "mem_ms": 0.000, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "checksum": 5}
+]
+}
+"#
+        );
+        let par = results_json("t", &rows, Some(3), &[("par_total_ms", &[12.5, 0.25])]);
+        assert_eq!(
+            tail(&par),
+            r#""rows": [
+  {"workload": "tile", "allocator": "Safe", "total_ms": 12.346, "mem_ms": 1.500, "par_total_ms": 12.500, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "safety_instrs": 199, "barriers_elided": 2, "read_stall_cycles": 11, "write_stall_cycles": 13, "checksum": 7615551339661593228},
+  {"workload": "tile", "allocator": "Lea", "total_ms": 0.900, "mem_ms": 0.000, "par_total_ms": 0.250, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "checksum": 5}
+]
+}
+"#
+        );
+        assert_eq!(
+            tail(&results_json("t", &rows, None, &lat)),
+            r#""rows": [
+  {"workload": "tile", "allocator": "Safe", "total_ms": 12.346, "mem_ms": 1.500, "p50_us": 0.900, "p99_us": 250.000, "p999_us": 400.000, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "safety_instrs": 199, "barriers_elided": 2, "read_stall_cycles": 11, "write_stall_cycles": 13, "checksum": 7615551339661593228},
+  {"workload": "tile", "allocator": "Lea", "total_ms": 0.900, "mem_ms": 0.000, "p50_us": 1.100, "p99_us": 260.500, "p999_us": 410.250, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "checksum": 5}
+]
+}
+"#
+        );
+        assert_eq!(
+            tail(&results_json("t", &rows, None, &paused)),
+            r#""rows": [
+  {"workload": "tile", "allocator": "Safe", "total_ms": 12.346, "mem_ms": 1.500, "p50_us": 0.900, "p99_us": 250.000, "p999_us": 400.000, "pause_p50_us": 2.000, "pause_p99_us": 40.000, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "safety_instrs": 199, "barriers_elided": 2, "read_stall_cycles": 11, "write_stall_cycles": 13, "checksum": 7615551339661593228},
+  {"workload": "tile", "allocator": "Lea", "total_ms": 0.900, "mem_ms": 0.000, "p50_us": 1.100, "p99_us": 260.500, "p999_us": 410.250, "pause_p50_us": 2.500, "pause_p99_us": 41.500, "os_pages": 7, "total_allocs": 100, "total_bytes": 4096, "max_live_bytes": 2048, "checksum": 5}
+]
+}
+"#
+        );
+        // The envelope keeps its key order, par_workers last.
+        let keys = ["schema_version", "bench", "commit", "workers", "host_cores", "par_workers"];
+        let at: Vec<usize> =
+            keys.iter().map(|k| par.find(&format!("\n\"{k}\": ")).expect(k)).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "envelope order moved: {at:?}");
     }
 
     #[test]
@@ -904,7 +949,7 @@ mod tests {
     #[test]
     fn results_json_is_wellformed_and_versioned() {
         let rows = run_matrix(&[Job::Region(Workload::Cfrac, RegionKind::Safe)], 1, false);
-        let json = results_json("smoke", &rows);
+        let json = results_json("smoke", &rows, None, &[]);
         assert!(json.starts_with("{\n") && json.ends_with("}\n"));
         assert!(json.contains(&format!("\"schema_version\": {RESULTS_SCHEMA_VERSION}")));
         assert!(json.contains("\"bench\": \"smoke\""));

@@ -60,6 +60,7 @@ use region_core::{
 };
 use simheap::{Addr, HeapShard, SharedSpace, SpaceConfig};
 
+use crate::rng::{fold, Rng, FNV_OFFSET};
 use crate::supervise::{supervise, JobOutcome, SuperviseConfig};
 
 /// Marker carried by every panic the service injects. Starts with the
@@ -377,37 +378,6 @@ impl ServiceReport {
         }
         out
     }
-}
-
-/// xorshift64* with a splitmix-scrambled seed — the same generator the
-/// chaos soak uses, duplicated here so the engine stays dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn seeded(seed: u64) -> Rng {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// FNV-1a fold, the digest primitive shared with the chaos soak.
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x1000_0000_01b3)
 }
 
 /// Error fold for the digest, one stable tag per variant. Scalar
@@ -769,7 +739,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                 cells: (0..4).map(|_| pool.register_cell()).collect(),
                 adm: AdmissionController::new(cfg.marks),
                 ledger: Ledger::default(),
-                digest: fold(0xcbf2_9ce4_8422_2325, u64::from(s)),
+                digest: fold(FNV_OFFSET, u64::from(s)),
                 next_req: 0,
                 in_flight: None,
                 poisoned: Vec::new(),
@@ -787,7 +757,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         .collect();
 
     let chunk = cfg.requests_per_session.div_ceil(cfg.rounds.max(1));
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut quarantined = 0u64;
     let mut reaped = 0u64;
     let mut sanitize_runs = 0u64;

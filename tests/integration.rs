@@ -427,6 +427,24 @@ fn cfrac_access_stream_matches_its_committed_golden() {
     }
 }
 
+/// Tier-1 reach of the golden end states: tile's safe-region runtime
+/// after a scale-1 run — regions, heap pages, counters — must match the
+/// committed RSNP snapshot byte for byte. A mismatch names the first
+/// drifted field.
+#[test]
+fn tile_end_state_matches_its_committed_golden() {
+    use bench_harness::diff::snapshot_divergence;
+    use bench_harness::golden::{golden_state_path, record_region_state};
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(golden_state_path("fig10", "tile", 1));
+    let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let fresh = record_region_state(Workload::Tile, 1);
+    if let Some(field) = snapshot_divergence(&golden, &fresh) {
+        panic!("tile's end state diverged from {}: {field}", path.display());
+    }
+}
+
 /// Tier-1 smoke of RSNP v1: a single runtime captured mid-run (live
 /// regions, cross-region counts, a held stack frame) restores, and the
 /// restored runtime re-captures byte for byte and carries on identically.
