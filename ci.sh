@@ -177,6 +177,18 @@ for bench in fig8 fig9 fig10 fig11 table2_3 cq_bench; do
 done
 # (server's quick books are pinned at the service step above.)
 
+echo "== perfbench correctness gate (paper-safe, service) =="
+# A short run of each benchmark workload. perfbench exits 1 without a
+# result when a checksum, AllocStats, SafetyCosts, os_pages or the
+# service books drift (perfbench/README.md), so a SimHeap change that
+# shifts any of them fails here.
+for wl in paper-safe service; do
+    out=$(CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    pin "perfbench $wl" '"correct": true' "$out"
+done
+
 echo "== criterion benches, quick mode =="
 BENCH_QUICK=1 cargo bench -p bench-harness >/dev/null
 

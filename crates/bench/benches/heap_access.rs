@@ -1,6 +1,6 @@
 //! Micro-benchmark of the simulated heap's hot access paths: the bulk
 //! fill/copy fast paths against the per-word loops that run when a
-//! cache-trace sink is attached, and the single-branch word accessors.
+//! cache-trace sink is attached, and the inlined scalar word accessors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -51,20 +51,13 @@ fn bench_heap_access(c: &mut Criterion) {
         b.iter(|| black_box(heap.load_u32(black_box(a))));
     });
 
-    g.bench_function("load_u32_fast", |b| {
-        let mut heap = SimHeap::new();
-        let a = heap.sbrk_pages(1);
-        heap.store_u32(a, 7);
-        b.iter(|| black_box(heap.load_u32_fast(black_box(a))));
-    });
-
-    g.bench_function("store_u32_fast_page_scan", |b| {
+    g.bench_function("store_u32_page_scan", |b| {
         let mut heap = SimHeap::new();
         let a = heap.sbrk_pages(1);
         b.iter(|| {
             let mut cur = a;
             for i in 0..(PAGE_SIZE / WORD) {
-                heap.store_u32_fast(cur, i);
+                heap.store_u32(cur, i);
                 cur = cur + WORD;
             }
         });

@@ -1294,7 +1294,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
         loop {
             // "the end of unfilled pages is marked with a NULL"; a full
             // page just ends.
-            let hdr = if cur + WORD <= end { self.heap.load_u32_fast(cur) } else { 0 };
+            let hdr = if cur + WORD <= end { self.heap.load_u32(cur) } else { 0 };
             if hdr == 0 {
                 *budget -= 1;
                 return None;
@@ -1312,8 +1312,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 (nptrs as u64, data + align_up(self.descs.get(desc).size(), WORD))
             } else {
                 let desc = DescId((hdr & !ARRAY_FLAG) - 1);
-                let n = self.heap.load_u32_fast(cur + WORD);
-                let stride = self.heap.load_u32_fast(cur + 2 * WORD);
+                let n = self.heap.load_u32(cur + WORD);
+                let stride = self.heap.load_u32(cur + 2 * WORD);
                 let data = cur + 3 * WORD;
                 let (nptrs, first) = self.ptr_fields(desc);
                 // Single-pointer arrays whose fields are all still null
@@ -1360,7 +1360,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     fn cleanup_release(&mut self, dying: RegionId, field: Addr) {
         self.costs.cleanup_ptrs += 1;
         self.costs.cleanup_instrs += CLEANUP_PTR_INSTRS;
-        let v = Addr::new(self.heap.load_u32_fast(field));
+        let v = Addr::new(self.heap.load_u32(field));
         if let Some(s) = self.region_of(v) {
             if s != dying {
                 self.dec_rc(s);

@@ -38,11 +38,13 @@ impl Addr {
     pub const NULL: Addr = Addr(0);
 
     /// Creates an address from a raw byte offset.
+    #[inline]
     pub fn new(raw: u32) -> Addr {
         Addr(raw)
     }
 
     /// Returns the raw byte offset.
+    #[inline]
     pub fn raw(self) -> u32 {
         self.0
     }
@@ -58,6 +60,7 @@ impl Addr {
     ///
     /// Panics on 32-bit overflow (walking off the end of the simulated
     /// address space).
+    #[inline]
     pub fn offset(self, bytes: u32) -> Addr {
         Addr(self.0.checked_add(bytes).expect("address overflow"))
     }
@@ -67,11 +70,13 @@ impl Addr {
     /// # Panics
     ///
     /// Panics if the result would be negative.
+    #[inline]
     pub fn back(self, bytes: u32) -> Addr {
         Addr(self.0.checked_sub(bytes).expect("address underflow"))
     }
 
     /// The index of the page containing this address.
+    #[inline]
     pub fn page_index(self) -> u32 {
         self.0 / PAGE_SIZE
     }
@@ -88,6 +93,7 @@ impl Addr {
     }
 
     /// The byte offset of this address within its page.
+    #[inline]
     pub fn page_offset(self) -> u32 {
         self.0 % PAGE_SIZE
     }
@@ -99,6 +105,7 @@ impl Addr {
 
     /// Returns `true` if the address is aligned to `align` bytes
     /// (which must be a power of two).
+    #[inline]
     pub fn is_aligned(self, align: u32) -> bool {
         debug_assert!(align.is_power_of_two());
         self.0 & (align - 1) == 0
@@ -106,6 +113,7 @@ impl Addr {
 
     /// Rounds the address up to the next multiple of `align`
     /// (a power of two).
+    #[inline]
     pub fn align_up(self, align: u32) -> Addr {
         Addr(align_up(self.0, align))
     }
@@ -125,6 +133,7 @@ impl fmt::Display for Addr {
 
 impl Add<u32> for Addr {
     type Output = Addr;
+    #[inline]
     fn add(self, rhs: u32) -> Addr {
         self.offset(rhs)
     }
@@ -132,6 +141,7 @@ impl Add<u32> for Addr {
 
 impl Sub<u32> for Addr {
     type Output = Addr;
+    #[inline]
     fn sub(self, rhs: u32) -> Addr {
         self.back(rhs)
     }
@@ -139,6 +149,7 @@ impl Sub<u32> for Addr {
 
 impl Sub<Addr> for Addr {
     type Output = u32;
+    #[inline]
     fn sub(self, rhs: Addr) -> u32 {
         self.0.checked_sub(rhs.0).expect("address difference underflow")
     }
@@ -164,6 +175,7 @@ impl From<u32> for Addr {
 /// assert_eq!(align_up(16, 8), 16);
 /// assert_eq!(align_up(0, 8), 0);
 /// ```
+#[inline]
 pub fn align_up(n: u32, align: u32) -> u32 {
     debug_assert!(align.is_power_of_two());
     n.checked_add(align - 1).expect("align_up overflow") & !(align - 1)

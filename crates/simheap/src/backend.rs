@@ -42,15 +42,13 @@ pub trait HeapBackend {
     fn load_u32(&mut self, addr: Addr) -> u32;
     /// Stores a 32-bit word.
     fn store_u32(&mut self, addr: Addr, value: u32);
-    /// [`HeapBackend::load_u32`] with the single-branch fast-path checks.
-    fn load_u32_fast(&mut self, addr: Addr) -> u32;
-    /// [`HeapBackend::store_u32`] with the single-branch fast-path checks.
-    fn store_u32_fast(&mut self, addr: Addr, value: u32);
     /// Loads an address-sized value and interprets it as an address.
+    #[inline]
     fn load_addr(&mut self, addr: Addr) -> Addr {
         Addr::new(self.load_u32(addr))
     }
     /// Stores an address.
+    #[inline]
     fn store_addr(&mut self, addr: Addr, value: Addr) {
         self.store_u32(addr, value.raw());
     }
@@ -100,17 +98,13 @@ impl HeapBackend for crate::SimHeap {
     fn reset_with(&mut self, config: HeapConfig) {
         SimHeapInherent::reset_with(self, config);
     }
+    #[inline]
     fn load_u32(&mut self, addr: Addr) -> u32 {
         SimHeapInherent::load_u32(self, addr)
     }
+    #[inline]
     fn store_u32(&mut self, addr: Addr, value: u32) {
         SimHeapInherent::store_u32(self, addr, value);
-    }
-    fn load_u32_fast(&mut self, addr: Addr) -> u32 {
-        SimHeapInherent::load_u32_fast(self, addr)
-    }
-    fn store_u32_fast(&mut self, addr: Addr, value: u32) {
-        SimHeapInherent::store_u32_fast(self, addr, value);
     }
     fn peek_u32(&self, addr: Addr) -> u32 {
         SimHeapInherent::peek_u32(self, addr)

@@ -251,6 +251,11 @@ impl SimHeap {
     /// Forwards one scalar access to the attached sink, if any. Sinks are
     /// trait objects, so callers that need results back should use a sink
     /// type they own and recover it with [`SimHeap::detach_sink`].
+    ///
+    /// Out of line: the scalar accessors call it only while tracing, and
+    /// inlining the dynamic sink call would keep them from inlining.
+    #[cold]
+    #[inline(never)]
     fn emit(&mut self, access: Access) {
         if let Some(sink) = self.sink.as_mut() {
             sink.event(AccessEvent::Word(access));
@@ -267,15 +272,33 @@ impl SimHeap {
         }
     }
 
-    /// Single-branch validation for the common case of an aligned in-bounds
-    /// word; falls back to [`SimHeap::check`] for the detailed panic.
+    /// The memory index of the `size`-byte scalar access at `addr`, after
+    /// the one test the hot path makes: past the guard page, below the
+    /// break and aligned to `size`. A failed test panics out of line.
+    #[inline(always)]
+    fn scalar_index(&self, addr: Addr, size: u32, what: &str) -> usize {
+        let a = addr.raw();
+        if a < PAGE_SIZE || !a.is_multiple_of(size) || a as usize + size as usize > self.memory.len() {
+            self.scalar_fault(addr, size, what);
+        }
+        a as usize
+    }
+
+    /// Panics with [`SimHeap::check`]'s diagnostic for a scalar access
+    /// that failed [`SimHeap::scalar_index`]'s test. Cold and out of line,
+    /// so the formatted assertions stay out of every inlined accessor.
+    #[cold]
+    #[inline(never)]
+    fn scalar_fault(&self, addr: Addr, size: u32, what: &str) -> ! {
+        self.check(addr, size, size, what);
+        unreachable!("{what} of {size} bytes at {addr} failed the scalar test but passed check")
+    }
+
+    /// Validates an aligned in-bounds word with [`SimHeap::scalar_index`]'s
+    /// single test, for the batched word accessors.
     #[inline]
     fn check_word(&self, addr: Addr, what: &str) {
-        let a = addr.raw();
-        if a >= PAGE_SIZE && a % WORD == 0 && (u64::from(a) + u64::from(WORD)) <= self.memory.len() as u64 {
-            return;
-        }
-        self.check(addr, WORD, WORD, what);
+        self.scalar_index(addr, WORD, what);
     }
 
     #[inline]
@@ -303,13 +326,13 @@ impl SimHeap {
     /// SIGBUS) — these always indicate a bug in the client allocator or VM.
     #[inline]
     pub fn load_u32(&mut self, addr: Addr) -> u32 {
-        self.check_word(addr, "load");
+        let i = self.scalar_index(addr, WORD, "load");
+        let value = u32::from_le_bytes([self.memory[i], self.memory[i + 1], self.memory[i + 2], self.memory[i + 3]]);
         self.loads += 1;
         if self.tracing {
             self.emit(Access::read(addr.raw(), 4));
         }
-        let i = addr.raw() as usize;
-        u32::from_le_bytes([self.memory[i], self.memory[i + 1], self.memory[i + 2], self.memory[i + 3]])
+        value
     }
 
     /// Stores a 32-bit word.
@@ -319,62 +342,34 @@ impl SimHeap {
     /// Panics on unmapped or misaligned addresses.
     #[inline]
     pub fn store_u32(&mut self, addr: Addr, value: u32) {
-        self.check_word(addr, "store");
+        let i = self.scalar_index(addr, WORD, "store");
+        self.memory[i..i + 4].copy_from_slice(&value.to_le_bytes());
         self.stores += 1;
         if self.tracing {
             self.emit(Access::write(addr.raw(), 4));
         }
-        let i = addr.raw() as usize;
-        self.memory[i..i + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Loads a byte.
     #[inline]
     pub fn load_u8(&mut self, addr: Addr) -> u8 {
-        self.check(addr, 1, 1, "load");
+        let value = self.memory[self.scalar_index(addr, 1, "load")];
         self.loads += 1;
         if self.tracing {
             self.emit(Access::read(addr.raw(), 1));
         }
-        self.memory[addr.raw() as usize]
+        value
     }
 
     /// Stores a byte.
     #[inline]
     pub fn store_u8(&mut self, addr: Addr, value: u8) {
-        self.check(addr, 1, 1, "store");
+        let i = self.scalar_index(addr, 1, "store");
+        self.memory[i] = value;
         self.stores += 1;
         if self.tracing {
             self.emit(Access::write(addr.raw(), 1));
         }
-        self.memory[addr.raw() as usize] = value;
-    }
-
-    /// Loads a 32-bit word on the fast path: one combined bounds/alignment
-    /// branch instead of three, with panics, counters and (when a sink is
-    /// attached) trace records identical to [`SimHeap::load_u32`]. Intended
-    /// for hot scan loops in the runtime.
-    #[inline]
-    pub fn load_u32_fast(&mut self, addr: Addr) -> u32 {
-        if self.tracing {
-            return self.load_u32(addr);
-        }
-        self.check_word(addr, "load");
-        self.loads += 1;
-        let i = addr.raw() as usize;
-        u32::from_le_bytes([self.memory[i], self.memory[i + 1], self.memory[i + 2], self.memory[i + 3]])
-    }
-
-    /// Stores a 32-bit word on the fast path; see [`SimHeap::load_u32_fast`].
-    #[inline]
-    pub fn store_u32_fast(&mut self, addr: Addr, value: u32) {
-        if self.tracing {
-            return self.store_u32(addr, value);
-        }
-        self.check_word(addr, "store");
-        self.stores += 1;
-        let i = addr.raw() as usize;
-        self.memory[i..i + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Loads an address-sized value and interprets it as an address.
@@ -1125,31 +1120,50 @@ mod tests {
         });
     }
 
-    #[test]
-    fn fast_word_paths_match_slow() {
-        let mut heap = SimHeap::new();
-        let a = heap.sbrk_pages(1);
-        heap.store_u32_fast(a, 0xDEAD_BEEF);
-        assert_eq!(heap.load_u32(a), 0xDEAD_BEEF);
-        assert_eq!(heap.load_u32_fast(a), 0xDEAD_BEEF);
-        assert_eq!(heap.load_count(), 2);
-        assert_eq!(heap.store_count(), 1);
+    /// The full panic message of `f`, which must panic with a string.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("access must fault");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err.downcast::<&str>().map(|s| s.to_string()).expect("string panic payload"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "simulated segfault")]
-    fn fast_load_checks_bounds() {
-        let mut heap = SimHeap::new();
-        let a = heap.sbrk_pages(1);
-        heap.load_u32_fast(a + PAGE_SIZE);
-    }
-
-    #[test]
-    #[should_panic(expected = "simulated bus error")]
-    fn fast_store_checks_alignment() {
-        let mut heap = SimHeap::new();
-        let a = heap.sbrk_pages(1);
-        heap.store_u32_fast(a + 2, 1);
+    fn scalar_faults_keep_their_full_panic_text() {
+        // One mapped page: the guard page is 0x0000..0x1000, the break is
+        // 0x2000. 0x1ffe is both misaligned and past the break; the break
+        // is reported first.
+        let cases: [(&str, u32, &str); 15] = [
+            ("load_u32", 0x0000, "simulated segfault: load of 4 bytes at 0x00000000 (null/guard page)"),
+            ("load_u32", 0x0ffc, "simulated segfault: load of 4 bytes at 0x00000ffc (null/guard page)"),
+            ("load_u32", 0x2000, "simulated segfault: load of 4 bytes at 0x00002000 past break 0x00002000"),
+            ("load_u32", 0x1002, "simulated bus error: misaligned load of 4 bytes at 0x00001002"),
+            ("load_u32", 0x1ffe, "simulated segfault: load of 4 bytes at 0x00001ffe past break 0x00002000"),
+            ("store_u32", 0x0000, "simulated segfault: store of 4 bytes at 0x00000000 (null/guard page)"),
+            ("store_u32", 0x0ffc, "simulated segfault: store of 4 bytes at 0x00000ffc (null/guard page)"),
+            ("store_u32", 0x2000, "simulated segfault: store of 4 bytes at 0x00002000 past break 0x00002000"),
+            ("store_u32", 0x1002, "simulated bus error: misaligned store of 4 bytes at 0x00001002"),
+            ("load_u8", 0x0000, "simulated segfault: load of 1 bytes at 0x00000000 (null/guard page)"),
+            ("load_u8", 0x0fff, "simulated segfault: load of 1 bytes at 0x00000fff (null/guard page)"),
+            ("load_u8", 0x2000, "simulated segfault: load of 1 bytes at 0x00002000 past break 0x00002000"),
+            ("store_u8", 0x0000, "simulated segfault: store of 1 bytes at 0x00000000 (null/guard page)"),
+            ("store_u8", 0x0fff, "simulated segfault: store of 1 bytes at 0x00000fff (null/guard page)"),
+            ("store_u8", 0x2000, "simulated segfault: store of 1 bytes at 0x00002000 past break 0x00002000"),
+        ];
+        for (op, raw, want) in cases {
+            let mut heap = SimHeap::new();
+            heap.sbrk_pages(1);
+            let a = Addr::new(raw);
+            let got = panic_text(|| match op {
+                "load_u32" => drop(heap.load_u32(a)),
+                "store_u32" => heap.store_u32(a, 1),
+                "load_u8" => drop(heap.load_u8(a)),
+                _ => heap.store_u8(a, 1),
+            });
+            assert_eq!(got, want, "{op} at {a}");
+            assert_eq!((heap.load_count(), heap.store_count()), (0, 0), "{op} at {a}: a fault counts nothing");
+        }
     }
 
     #[test]

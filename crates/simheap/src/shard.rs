@@ -564,14 +564,6 @@ impl HeapBackend for HeapShard {
         self.write_word(addr, value);
     }
 
-    fn load_u32_fast(&mut self, addr: Addr) -> u32 {
-        self.load_u32(addr)
-    }
-
-    fn store_u32_fast(&mut self, addr: Addr, value: u32) {
-        self.store_u32(addr, value);
-    }
-
     fn peek_u32(&self, addr: Addr) -> u32 {
         assert!(addr.is_aligned(WORD), "misaligned peek at {addr}");
         self.check(addr, WORD, WORD, "peek", false);

@@ -182,13 +182,38 @@ struct Timing {
     read: i64,
 }
 
+/// Steps of [`overlap_work`]: 32 multiply-rotates, about 130 cycles.
+/// Twice as many read the same estimates, so the chain already covers
+/// the part of a call an out-of-order core finishes in the shadow of
+/// the code after it (DESIGN §18).
+const OVERLAP_STEPS: u32 = 32;
+
+/// A fixed chain of dependent multiply-rotates: independent of any call,
+/// it stands in for the code that follows a call in an untimed run.
+#[inline(always)]
+fn overlap_work() {
+    let mut x = std::hint::black_box(SCHEDULE_SEED);
+    for _ in 0..OVERLAP_STEPS {
+        x = x.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(7);
+    }
+    std::hint::black_box(x);
+}
+
 /// Runs `f` between clock reads `t1` and `t2`, with an empty read `t0`
 /// just before, so the clock's latency can be taken out in situ.
+///
+/// Both intervals end in [`overlap_work`]. A clock read waits for every
+/// earlier instruction, so a call timed alone would be charged the tail
+/// that, untimed, overlaps the mutator code after it; followed by the
+/// same independent work, the call's tail overlaps that instead, and
+/// the work's own time cancels against the empty interval.
 #[inline(always)]
 fn probe<R>(f: impl FnOnce() -> R) -> (R, Timing) {
     let t0 = Instant::now();
+    overlap_work();
     let t1 = Instant::now();
     let r = f();
+    overlap_work();
     let t2 = Instant::now();
     (r, Timing { call: nanos(t2 - t1), read: nanos(t1 - t0) })
 }
