@@ -94,9 +94,12 @@ cargo test -q -p region-core --lib world
 echo "== shard A/B (records BENCH_shard quick variant) =="
 # Private SimHeap vs W=1 shard books bit-identical; the 4-shard shared
 # world digest thread-count-independent. The committed BENCH_shard.json
-# is the default-scale record; the quick rerun goes to target/.
-BENCH_SHARD_OUT=target/BENCH_shard_quick.json \
-    ./target/release/par_regions --shard-ab --quick >/dev/null
+# is the default-scale record; the quick rerun goes to target/. The
+# private-vs-shard digest is pinned, so a change that moves both arms'
+# books the same way still fails.
+out=$(BENCH_SHARD_OUT=target/BENCH_shard_quick.json \
+    ./target/release/par_regions --shard-ab --quick)
+pin "shard A/B" "private vs W=1 shard: digest 6f1fb632400eb0a8" "$out"
 
 echo "== chaos soak (fault injection + sanitizer + VM), --quick =="
 ./target/release/chaos --quick >/dev/null

@@ -462,11 +462,59 @@ impl HeapShard {
     #[inline]
     fn write_word(&mut self, addr: Addr, value: u32) {
         let i = (addr.page_index() - self.base_page) as usize;
+        self.own_page(i)[(addr.page_offset() / WORD) as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// Own page `i` (below the break), born here if this is its first
+    /// write.
+    #[inline]
+    fn own_page(&mut self, i: usize) -> &PageArc {
         if self.local[i].is_none() {
             self.materialize(i);
         }
-        let page = self.local[i].as_ref().expect("materialized above");
-        page[(addr.page_offset() / WORD) as usize].store(value, Ordering::Relaxed);
+        self.local[i].as_ref().expect("materialized above")
+    }
+
+    /// The word a scalar access at `addr` touches, after the one test the
+    /// hot path makes: `addr` is word-aligned and its page is a born page
+    /// of this shard below the break. The guard page and foreign pages
+    /// wrap past `local.len()`. `None` sends the access to the cold path.
+    #[inline(always)]
+    fn hot_word(&self, addr: Addr) -> Option<&AtomicU32> {
+        let a = addr.raw();
+        if !a.is_multiple_of(WORD) {
+            return None;
+        }
+        let page = self.local.get((a / PAGE_SIZE).wrapping_sub(self.base_page) as usize)?.as_ref()?;
+        Some(&page[(a % PAGE_SIZE / WORD) as usize])
+    }
+
+    /// The whole checked load for every case [`HeapShard::hot_word`]
+    /// leaves out: faults (with [`HeapShard::check`]'s text and order),
+    /// foreign reads, unborn pages and traced accesses. Cold and out of
+    /// line, so `load_u32` stays small enough to inline (DESIGN §19).
+    #[cold]
+    #[inline(never)]
+    fn load_slow(&mut self, addr: Addr) -> u32 {
+        self.check(addr, WORD, WORD, "load", false);
+        self.loads += 1;
+        if self.tracing {
+            self.emit_event(AccessEvent::Word(Access::read(addr.raw(), 4)));
+        }
+        self.read_word(addr)
+    }
+
+    /// The store twin of [`HeapShard::load_slow`]; a first write to an
+    /// unborn page births it here.
+    #[cold]
+    #[inline(never)]
+    fn store_slow(&mut self, addr: Addr, value: u32) {
+        self.check(addr, WORD, WORD, "store", true);
+        self.stores += 1;
+        if self.tracing {
+            self.emit_event(AccessEvent::Word(Access::write(addr.raw(), 4)));
+        }
+        self.write_word(addr, value);
     }
 
     /// Page birth: creates own page `i` (zeroed) on its first write and
@@ -484,6 +532,7 @@ impl HeapShard {
 }
 
 impl HeapBackend for HeapShard {
+    #[inline]
     fn brk(&self) -> Addr {
         Addr::from_page(self.base_page + self.local.len() as u32)
     }
@@ -546,27 +595,46 @@ impl HeapBackend for HeapShard {
         self.tracing = false;
     }
 
+    #[inline]
     fn load_u32(&mut self, addr: Addr) -> u32 {
-        self.check(addr, WORD, WORD, "load", false);
-        self.loads += 1;
-        if self.tracing {
-            self.emit_event(AccessEvent::Word(Access::read(addr.raw(), 4)));
+        match self.hot_word(addr) {
+            Some(word) if !self.tracing => {
+                let value = word.load(Ordering::Relaxed);
+                self.loads += 1;
+                value
+            }
+            _ => self.load_slow(addr),
         }
-        self.read_word(addr)
     }
 
+    #[inline]
     fn store_u32(&mut self, addr: Addr, value: u32) {
-        self.check(addr, WORD, WORD, "store", true);
-        self.stores += 1;
-        if self.tracing {
-            self.emit_event(AccessEvent::Word(Access::write(addr.raw(), 4)));
+        match self.hot_word(addr) {
+            Some(word) if !self.tracing => {
+                word.store(value, Ordering::Relaxed);
+                self.stores += 1;
+            }
+            _ => self.store_slow(addr, value),
         }
-        self.write_word(addr, value);
     }
 
+    /// As `SimHeap::peek_u32` on the guard page and on this shard's own
+    /// span: the guard page reads zero, and a word past the break is
+    /// "out of range". A foreign page must be mapped by its owner.
     fn peek_u32(&self, addr: Addr) -> u32 {
         assert!(addr.is_aligned(WORD), "misaligned peek at {addr}");
-        self.check(addr, WORD, WORD, "peek", false);
+        let page = addr.page_index();
+        if page == 0 {
+            return 0;
+        }
+        if self.in_own_span(page) {
+            assert!(addr < self.brk(), "peek out of range at {addr}");
+        } else {
+            assert!(
+                self.space.is_mapped(page),
+                "simulated segfault: peek of {WORD} bytes at {addr} (unmapped in shared space)"
+            );
+        }
         self.read_word(addr)
     }
 
@@ -587,9 +655,19 @@ impl HeapBackend for HeapShard {
         for b in 0..head {
             self.write_byte(addr + b, byte);
         }
+        // Whole words: one page lookup per page-sized run.
         let words_start = addr + head;
-        for w in 0..words {
-            self.write_word(words_start + w * WORD, fill_word);
+        let mut word = words_start.raw() / WORD;
+        let mut left = words as usize;
+        while left > 0 {
+            let first = word as usize % PAGE_WORDS;
+            let run = left.min(PAGE_WORDS - first);
+            let page = self.own_page((word / PAGE_WORDS as u32 - self.base_page) as usize);
+            for w in &page[first..first + run] {
+                w.store(fill_word, Ordering::Relaxed);
+            }
+            word += run as u32;
+            left -= run;
         }
         let tail_start = words_start + words * WORD;
         for b in 0..tail {
@@ -654,19 +732,23 @@ impl HeapBackend for HeapShard {
         (0..len).map(|i| self.read_word(start + i * stride)).collect()
     }
 
+    #[inline]
     fn is_tracing(&self) -> bool {
         self.tracing
     }
 
+    #[inline]
     fn charge_loads(&mut self, n: u64) {
         debug_assert!(!self.tracing, "charge_loads while tracing loses sink records");
         self.loads += n;
     }
 
+    #[inline]
     fn load_count(&self) -> u64 {
         self.loads
     }
 
+    #[inline]
     fn store_count(&self) -> u64 {
         self.stores
     }
@@ -835,6 +917,109 @@ mod tests {
         let again = a.try_sbrk_pages(1).unwrap();
         assert_eq!(again, pa, "the break restarts at the shard base");
         assert_eq!(a.load_u32(again), 0, "a reset page is born anew");
+    }
+
+    /// The full panic message of `f`, or `f`'s value if it returns.
+    fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|err| match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err.downcast::<&str>().map(|s| s.to_string()).expect("string panic payload"),
+        })
+    }
+
+    #[test]
+    fn scalar_faults_keep_their_full_panic_text() {
+        // Worker 0 owns one mapped page (0x1000..0x2000, break 0x2000);
+        // worker 1's shard starts at 0x80000 with one born page. 0x1ffe is
+        // both misaligned and past the break; the break is reported first.
+        let cases: [(&str, u32, &str); 16] = [
+            ("load_u32", 0x0000, "simulated segfault: load of 4 bytes at 0x00000000 (null/guard page)"),
+            ("load_u32", 0x0ffc, "simulated segfault: load of 4 bytes at 0x00000ffc (null/guard page)"),
+            ("load_u32", 0x2000, "simulated segfault: load of 4 bytes at 0x00002000 past break 0x00002000"),
+            ("load_u32", 0x1002, "simulated bus error: misaligned load of 4 bytes at 0x00001002"),
+            ("load_u32", 0x1ffe, "simulated segfault: load of 4 bytes at 0x00001ffe past break 0x00002000"),
+            ("load_u32", 0x81000, "simulated segfault: load of 4 bytes at 0x00081000 (unmapped in shared space)"),
+            ("load_u32", 0x80002, "simulated bus error: misaligned load of 4 bytes at 0x00080002"),
+            ("load_u32", 0x81002, "simulated segfault: load of 4 bytes at 0x00081002 (unmapped in shared space)"),
+            ("store_u32", 0x0000, "simulated segfault: store of 4 bytes at 0x00000000 (null/guard page)"),
+            ("store_u32", 0x0ffc, "simulated segfault: store of 4 bytes at 0x00000ffc (null/guard page)"),
+            ("store_u32", 0x2000, "simulated segfault: store of 4 bytes at 0x00002000 past break 0x00002000"),
+            ("store_u32", 0x1002, "simulated bus error: misaligned store of 4 bytes at 0x00001002"),
+            ("store_u32", 0x1ffe, "simulated segfault: store of 4 bytes at 0x00001ffe past break 0x00002000"),
+            ("store_u32", 0x80000, "simulated protection fault: store of 4 bytes at 0x00080000 outside worker 0's shard"),
+            ("store_u32", 0x81000, "simulated protection fault: store of 4 bytes at 0x00081000 outside worker 0's shard"),
+            ("store_u32", 0x80002, "simulated protection fault: store of 4 bytes at 0x00080002 outside worker 0's shard"),
+        ];
+        for (op, raw, want) in cases {
+            let space = SharedSpace::new(SpaceConfig { max_bytes: 1 << 20, workers: 2 });
+            let mut shard = space.shard(0);
+            let mut other = space.shard(1);
+            shard.try_sbrk_pages(1).unwrap();
+            let foreign = other.try_sbrk_pages(1).unwrap();
+            other.store_u32(foreign, 7);
+            let a = Addr::new(raw);
+            let got = outcome(|| match op {
+                "load_u32" => drop(shard.load_u32(a)),
+                _ => shard.store_u32(a, 1),
+            });
+            assert_eq!(got, Err(want.to_string()), "{op} at {a}");
+            assert_eq!((shard.load_count(), shard.store_count()), (0, 0), "{op} at {a}: a fault counts nothing");
+            assert_eq!(shard.materialized_pages(), 0, "{op} at {a}: a fault births no page");
+        }
+    }
+
+    #[test]
+    fn peeks_match_simheap_on_own_and_guard_pages() {
+        let mut heap = SimHeap::new();
+        let space = SharedSpace::new(SpaceConfig::default());
+        let mut shard = space.shard(0);
+        let a = heap.sbrk_pages(1);
+        assert_eq!(shard.try_sbrk_pages(1).unwrap(), a);
+        for (off, v) in [(0, 0x1111), (PAGE_SIZE - WORD, 0x2222)] {
+            heap.store_u32(a + off, v);
+            shard.store_u32(a + off, v);
+        }
+        let brk = heap.brk().raw();
+        for raw in [0x0, 0x8, 0x1000, brk - 4, brk, brk + 0x1000, 0x1001] {
+            let addr = Addr::new(raw);
+            let want = outcome(|| heap.peek_u32(addr));
+            assert_eq!(outcome(|| shard.peek_u32(addr)), want, "peek at {addr}");
+        }
+        // Foreign pages keep the shard-only rule: mapped reads, unmapped faults.
+        let space = SharedSpace::new(SpaceConfig { max_bytes: 1 << 20, workers: 2 });
+        let (mut a, b) = (space.shard(0), space.shard(1));
+        let pa = a.try_sbrk_pages(1).unwrap();
+        a.store_u32(pa + 8, 9);
+        assert_eq!(b.peek_u32(pa + 8), 9);
+        assert_eq!(
+            outcome(|| b.peek_u32(pa + PAGE_SIZE)),
+            Err("simulated segfault: peek of 4 bytes at 0x00002000 (unmapped in shared space)".to_string())
+        );
+    }
+
+    #[test]
+    fn fills_across_unborn_pages_match_simheap() {
+        let mut heap = SimHeap::new();
+        let space = SharedSpace::new(SpaceConfig::default());
+        let mut shard = space.shard(0);
+        let a = heap.sbrk_pages(6);
+        assert_eq!(HeapBackend::sbrk_pages(&mut shard, 6), a);
+        heap.store_u32(a, 5);
+        shard.store_u32(a, 5);
+        // Starts mid-word on the born first page: two head bytes, word
+        // runs over the rest of page 0 and all of pages 1 and 2, and one
+        // tail byte that births page 3. The second fill's word run
+        // starts mid-page on unborn page 4; page 5 stays unborn.
+        for (at, len, byte) in [(PAGE_SIZE - 6, 2 * PAGE_SIZE + 7, 0xA5), (4 * PAGE_SIZE + 0x100, 8, 0x3C)] {
+            heap.fill(a + at, len, byte);
+            shard.fill(a + at, len, byte);
+        }
+        for w in 0..6 * PAGE_SIZE / WORD {
+            assert_eq!(heap.peek_u32(a + w * WORD), shard.peek_u32(a + w * WORD), "word {w}");
+        }
+        assert_eq!(heap.store_count(), HeapBackend::store_count(&shard));
+        assert_eq!(heap.load_count(), HeapBackend::load_count(&shard));
+        assert_eq!(shard.materialized_pages(), 5);
     }
 
     #[test]

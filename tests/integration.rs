@@ -484,3 +484,24 @@ fn v1_snapshot_round_trips_byte_identically() {
     }
     assert_eq!(back.capture_snapshot(), rt.capture_snapshot(), "continued identically");
 }
+
+/// Tier-1 reach of the service books that `server --quick` pins: the
+/// quick config at seed 42 lands on one digest, and its encoded books
+/// (ledgers, digest, footprint, quarantine counters) do not move with
+/// the thread count or the deletion budget.
+#[test]
+fn service_books_match_their_quick_pin() {
+    use bench_harness::server::{run_service, ServiceConfig};
+
+    let quick = ServiceConfig::quick(42);
+    let mut first: Option<Vec<u8>> = None;
+    for threads in [1, 2] {
+        for delete_budget in [u64::MAX, 64] {
+            let report = run_service(&ServiceConfig { threads, delete_budget, ..quick });
+            let arm = format!("{threads} threads, budget {delete_budget}");
+            assert_eq!(report.digest, 0x4d44_ec2f_d9b9_b10a, "{arm}: digest {:016x}", report.digest);
+            let books = report.encode_books();
+            assert!(first.get_or_insert_with(|| books.clone()) == &books, "{arm}: books differ");
+        }
+    }
+}
