@@ -69,8 +69,10 @@ cargo test -q -p region-core --test snapshot_props
 echo "== kill-and-restore chaos (>=20 seeded kill points), sanitize on =="
 # Quick pass replays 25 kill-restores to digest equality and feeds the
 # corrupt-snapshot battery; the 100-seed sweep runs in the full (non
-# --quick) chaos invocation.
-REGION_SANITIZE=1 ./target/release/chaos --quick --scenario kill-restore >/dev/null
+# --quick) chaos invocation. The digest folds sanitize's object counts
+# and parked deletions replayed across restore, so it is pinned.
+out=$(REGION_SANITIZE=1 ./target/release/chaos --quick --scenario kill-restore)
+pin kill-restore "digest 289d7b7f28732331 (bit-identical re-run)" "$out"
 
 echo "== parallel region pool smoke (digest + audit, sanitize on) =="
 # Also covers the shared-space shard mode: four logical shards of one
@@ -146,7 +148,8 @@ echo "== elision differential (vm-chaos A/B, sanitize on) =="
 # sameregion inference pass — and must be bit-identical in output, VM
 # instruction count, and final-heap digest, with a conserved barrier
 # split and zero ElisionUnsound violations, under the region sanitizer.
-REGION_SANITIZE=1 ./target/release/chaos --quick --scenario vm-chaos >/dev/null
+out=$(REGION_SANITIZE=1 ./target/release/chaos --quick --scenario vm-chaos)
+pin vm-chaos "digest 92b10bef1e9b45c4 (bit-identical re-run)" "$out"
 REGION_SANITIZE=1 cargo test -q -p cq-lang
 
 echo "== elision A/B on the workload suite (records BENCH_elision.json) =="

@@ -9,10 +9,11 @@
 //! (using the paper's own 16/23-instruction barrier costs).
 //!
 //! The `elided` column counts barriers replaced by the 2-instruction
-//! unbarriered store thanks to *sameregion* annotations (§3.3). It is
-//! zero unless `BENCH_ELIDE=1`, so the committed counters reproduce by
-//! default. `--elision-ab` runs the interleaved min-of-N A/B instead
-//! and records `BENCH_elision.json` at the repo root.
+//! unbarriered store thanks to *sameregion* annotations (§3.3). The
+//! table runs with every barrier kept, so it reads zero and the
+//! committed counters reproduce. `--elision-ab` runs the interleaved
+//! min-of-N A/B of both arms instead and records `BENCH_elision.json`
+//! at the repo root.
 
 use bench_harness::runner::{
     measure_region, measure_region_elide, scale_from_env, write_bench_record, write_results_json,

@@ -2,11 +2,11 @@
 //! resilience layer ([`bench_harness::server`]).
 //!
 //! A fleet of sessions serves seeded request traffic on one shared
-//! address space: every request creates a region, allocates into it,
-//! publishes a cross-thread reference through the parallel pool, then
-//! unpublishes and deletes. The run interleaves injected allocation
-//! faults (bounded deterministic retry with linear backoff), injected
-//! worker panics (quarantine + reap, the fleet keeps serving), and
+//! address space: every request creates a region, allocates into it
+//! and deletes it. The run interleaves injected allocation faults
+//! (bounded deterministic retry with linear backoff), injected worker
+//! panics (each strands a reference in the parallel pool, which
+//! quarantines and reaps it while the fleet keeps serving), and
 //! footprint watermarks (degrade, then shed with a typed
 //! `Overloaded` error — never a panic).
 //!

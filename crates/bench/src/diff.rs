@@ -141,7 +141,38 @@ fn snapshot_fields(bytes: &[u8]) -> Result<Vec<(String, u64)>, region_core::Snap
     push("regions".into(), u64::from(n_regions), &mut out);
     for i in 0..n_regions {
         push(format!("region[{i}].rc"), r.i64()? as u64, &mut out);
-        push(format!("region[{i}].live"), u64::from(r.u8()?), &mut out);
+        let live = r.u8()?;
+        push(format!("region[{i}].live"), u64::from(live), &mut out);
+        if live == 2 {
+            // Parked mid-deletion: the phase payload comes next.
+            let phase = r.u8()?;
+            push(format!("region[{i}].phase"), u64::from(phase), &mut out);
+            match phase {
+                0 => {
+                    push(format!("region[{i}].scan.attempt_frames"), r.u64()?, &mut out);
+                    push(format!("region[{i}].scan.attempt_slots"), r.u64()?, &mut out);
+                }
+                1 => {
+                    let n = r.u32()?;
+                    push(format!("region[{i}].cleanup.marks"), u64::from(n), &mut out);
+                    for j in 0..n {
+                        for part in ["page", "start", "cursor"] {
+                            let v = u64::from(r.u32()?);
+                            push(format!("region[{i}].cleanup.mark[{j}].{part}"), v, &mut out);
+                        }
+                    }
+                }
+                2 => {
+                    let n = r.u32()?;
+                    push(format!("region[{i}].return.pages"), u64::from(n), &mut out);
+                    for j in 0..n {
+                        let v = u64::from(r.u32()?);
+                        push(format!("region[{i}].return.page[{j}]"), v, &mut out);
+                    }
+                }
+                _ => return Err(r.malformed()),
+            }
+        }
         for bump in ["normal", "string"] {
             let n = r.u32()?;
             push(format!("region[{i}].{bump}.pages"), u64::from(n), &mut out);
@@ -393,6 +424,48 @@ mod tests {
         };
         let msg = snapshot_divergence(&golden, &fresh).expect("extra alloc must diverge");
         assert!(msg.contains("first divergence") || msg.contains("structure"), "message was: {msg}");
+    }
+
+    #[test]
+    fn parked_snapshot_decodes_and_a_doctored_cursor_is_named() {
+        // Parked mid-cleanup: budget 1 releases one object per step.
+        let mut rt = RegionRuntime::new_safe();
+        let d = rt.register_type(TypeDescriptor::new("list", 8, vec![4]));
+        let (r1, r2) = (rt.new_region(), rt.new_region());
+        for _ in 0..6 {
+            let a = rt.ralloc(r1, d);
+            let b = rt.ralloc(r2, d);
+            rt.store_ptr_region(a + 4, b);
+        }
+        rt.set_delete_budget(1);
+        for _ in 0..3 {
+            rt.try_delete_region_step(r1).expect("a step");
+        }
+        assert!(rt.is_parked(r1));
+        let golden = rt.capture_snapshot();
+        let fields = snapshot_fields(&golden).expect("a parked snapshot must decode");
+        let get = |name: &str| {
+            fields.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no {name}")).1 as u32
+        };
+        assert_eq!(get("region[0].live"), 2);
+        assert_eq!(get("region[0].phase"), 1, "parked in cleanup");
+        assert!(fields.iter().any(|(n, _)| n == "global_ptr_locs"), "decoded to the end");
+
+        // Move the cursor one word on; the field diff must name it.
+        let mark = "region[0].cleanup.mark[0]";
+        let [page, start, cursor] =
+            ["page", "start", "cursor"].map(|part| get(&format!("{mark}.{part}")));
+        assert!(cursor > start, "the cursor sits mid-page");
+        let pattern: Vec<u8> = [page, start, cursor].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let at = golden.windows(12).position(|w| w == pattern).expect("mark bytes");
+        assert_eq!(golden.windows(12).rposition(|w| w == pattern), Some(at), "mark bytes unique");
+        let mut fresh = golden.clone();
+        fresh[at + 8..at + 12].copy_from_slice(&(cursor + 4).to_le_bytes());
+        let msg = snapshot_divergence(&golden, &fresh).expect("doctored cursor must diverge");
+        assert_eq!(
+            msg,
+            format!("first divergence: {mark}.cursor — golden {cursor}, fresh {}", cursor + 4)
+        );
     }
 
     #[test]

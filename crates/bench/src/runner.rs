@@ -143,26 +143,16 @@ pub fn measure_malloc_on(
     (m, heap)
 }
 
-/// Whether benchmark region runs elide hand-annotated *sameregion*
-/// barriers (`BENCH_ELIDE=1`). Off by default, so every published
-/// counter reproduces; the elision A/B turns it on per run instead.
-pub fn elide_from_env() -> bool {
-    std::env::var("BENCH_ELIDE").is_ok_and(|v| v == "1")
-}
-
 /// Runs the region variant of a workload under one region backend.
 pub fn measure_region(w: Workload, kind: RegionKind, scale: u32, traced: bool) -> Measurement {
     measure_region_on(w, kind, scale, traced, SimHeap::new()).0
 }
 
-/// [`measure_region`] with barrier elision explicitly on or off,
-/// ignoring `BENCH_ELIDE` — the elision A/B drives both arms from one
-/// process.
+/// [`measure_region`] with the hand-annotated *sameregion* barriers
+/// elided or kept. Every other region run keeps them, so its counters
+/// reproduce; the elision A/B drives both arms from one process.
 pub fn measure_region_elide(w: Workload, kind: RegionKind, scale: u32, elide: bool) -> Measurement {
-    run_region_elide(w.name(), kind, scale, false, elide, SimHeap::new(), |env| {
-        w.run_region(env, scale)
-    })
-    .0
+    run_region_fn(w.name(), kind, false, elide, SimHeap::new(), |env| w.run_region(env, scale)).0
 }
 
 /// [`measure_region`] on a recycled heap (see [`measure_malloc_on`]).
@@ -173,7 +163,7 @@ pub fn measure_region_on(
     traced: bool,
     heap: SimHeap,
 ) -> (Measurement, SimHeap) {
-    run_region_fn(w.name(), kind, scale, traced, heap, |env| w.run_region(env, scale))
+    run_region_fn(w.name(), kind, traced, false, heap, |env| w.run_region(env, scale))
 }
 
 /// Runs moss's "slow" (single-region, interleaved) layout — the extra
@@ -189,7 +179,7 @@ pub fn measure_region_slow_on(
     traced: bool,
     heap: SimHeap,
 ) -> (Measurement, SimHeap) {
-    let (mut m, heap) = run_region_fn("moss", kind, scale, traced, heap, |env| {
+    let (mut m, heap) = run_region_fn("moss", kind, traced, false, heap, |env| {
         workloads::moss::run_region_slow(env, scale)
     });
     m.allocator = "Slow";
@@ -199,18 +189,6 @@ pub fn measure_region_slow_on(
 fn run_region_fn(
     name: &'static str,
     kind: RegionKind,
-    scale: u32,
-    traced: bool,
-    heap: SimHeap,
-    run: impl FnOnce(&mut RegionEnv) -> u64,
-) -> (Measurement, SimHeap) {
-    run_region_elide(name, kind, scale, traced, elide_from_env(), heap, run)
-}
-
-fn run_region_elide(
-    name: &'static str,
-    kind: RegionKind,
-    _scale: u32,
     traced: bool,
     elide: bool,
     heap: SimHeap,

@@ -5,12 +5,11 @@
 //! The paper's headline claim is that region create/delete are cheap
 //! enough to use *per request*. This module stress-tests that claim at
 //! service scale: seeded traffic where every request gets its own
-//! region (create → allocate → publish/share → delete), sessions churn
-//! across [`region_core::par::ParRegionPool`] workers on one
-//! [`simheap::SharedSpace`], and the harness reports throughput,
-//! p50/p99/p999 latency, footprint high-water, and a **conserved
-//! request ledger** — `submitted == completed + shed + failed`, retries
-//! tallied separately.
+//! region (create → allocate → delete), sessions churn across worker
+//! threads on one [`simheap::SharedSpace`], and the harness reports
+//! throughput, p50/p99/p999 latency, footprint high-water, and a
+//! **conserved request ledger** — `submitted == completed + shed +
+//! failed`, retries tallied separately.
 //!
 //! Robustness is the point, not an afterthought:
 //!
@@ -25,10 +24,13 @@
 //!   footprint: below soft it runs unchanged, in `[soft, hard)` it runs
 //!   a *degraded* (shrunk) allocation plan, at or above hard it is shed
 //!   with the typed [`RegionError::Overloaded`] — never a panic;
-//! * **session isolation** — an injected worker panic strands a pool
-//!   reference that quarantines only *that session's* pool region;
+//! * **session isolation** — an injected worker panic strands a
+//!   [`region_core::par::ParRegionPool`] reference that quarantines only
+//!   *that session's* pool region;
 //!   [`region_core::par::ParRegionPool::reap_orphans`] reclaims it at
 //!   the next round barrier while every other session keeps serving.
+//!   The pool books nothing else: a request that does not crash lives in
+//!   its runtime region alone.
 //!
 //! # Determinism
 //!
@@ -37,9 +39,8 @@
 //! across 1/2/N service threads. The construction:
 //!
 //! * sessions are fully independent: each owns one shard of the shared
-//!   space, its own pool cells, its own ledger, and per-request RNG
-//!   streams seeded from `(seed, session, request)` (a crashed attempt
-//!   replays identically);
+//!   space, its own ledger, and per-request RNG streams seeded from
+//!   `(seed, session, request)` (a crashed attempt replays identically);
 //! * the *global* footprint is read only at round barriers, on the
 //!   coordinator thread; within a round each session sees
 //!   `round base + its own growth`, a schedule-independent quantity;
@@ -53,7 +54,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use region_core::par::{ParRegionPool, ParThread, RefCell32};
+use region_core::par::{ParRegionPool, ParThread};
 use region_core::{
     AdmissionController, ParRegionError, RegionConfig, RegionError, RegionId, RegionRuntime,
     Watermarks,
@@ -430,7 +431,6 @@ fn plan_for(rng: &mut Rng, degraded: bool) -> Plan {
 /// injected path (the `lock` helper recovers regardless).
 struct SessionSlot {
     rt: RegionRuntime<HeapShard>,
-    cells: Vec<Arc<RefCell32>>,
     adm: AdmissionController,
     ledger: Ledger,
     digest: u64,
@@ -481,13 +481,12 @@ enum Served {
 }
 
 /// Serves request `req` of session `session`: admission → plan →
-/// (create → allocate → publish/share → delete) with bounded fault
-/// retry. All randomness is re-derived from `(seed, session, req)`, so
-/// a post-panic replay of the same request is bit-identical.
+/// (create → allocate → delete) with bounded fault retry. All
+/// randomness is re-derived from `(seed, session, req)`, so a
+/// post-panic replay of the same request is bit-identical.
 fn serve_one(
     slot: &mut SessionSlot,
     t: &mut ParThread,
-    pool: &ParRegionPool,
     cfg: ServiceConfig,
     base_pages: u64,
     session: u32,
@@ -540,7 +539,7 @@ fn serve_one(
             slot.ledger.retries += 1;
             std::thread::sleep(cfg.backoff.saturating_mul(a - 1));
         }
-        match attempt_request(slot, t, pool, &plan, req) {
+        match attempt_request(slot, &plan) {
             Ok(d) => {
                 slot.digest = fold(slot.digest, d);
                 ok = true;
@@ -581,22 +580,11 @@ fn serve_one(
     Served::Done
 }
 
-/// One attempt at a request: fresh region, publish a pool region into
-/// one of the session's cells, run the allocation plan, unpublish,
-/// delete both. Cleanup runs on the fault path too — a failed attempt
+/// One attempt at a request: fresh region, run the allocation plan,
+/// delete it. Cleanup runs on the fault path too — a failed attempt
 /// leaves no residue for the next one.
-fn attempt_request(
-    slot: &mut SessionSlot,
-    t: &mut ParThread,
-    pool: &ParRegionPool,
-    plan: &Plan,
-    req: u32,
-) -> Result<u64, RegionError> {
+fn attempt_request(slot: &mut SessionSlot, plan: &Plan) -> Result<u64, RegionError> {
     let r = slot.rt.try_new_region()?;
-    let pr = t.create_region();
-    let cell = &slot.cells[req as usize % slot.cells.len()];
-    t.retain(pr); // the request's own live reference
-    t.exchange_ref(cell, Some(pr)); // publish for other threads to see
     let mut d = 0u64;
     let res: Result<(), RegionError> = (|| {
         for _ in 0..plan.allocs {
@@ -605,10 +593,6 @@ fn attempt_request(
         }
         Ok(())
     })();
-    t.exchange_ref(cell, None); // unpublish
-    t.release(pr);
-    let deleted = pool.try_delete(pr);
-    debug_assert!(deleted, "request pool region had residual counts");
     let del = slot.rt.try_delete_region(r);
     debug_assert!(del.is_ok(), "request region delete blocked: {del:?}");
     res.map(|()| fold(d, 7))
@@ -736,7 +720,6 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                 rt.register_type(region_core::TypeDescriptor::new("idx", 16, vec![4, 12]));
             Arc::new(Mutex::new(SessionSlot {
                 rt,
-                cells: (0..4).map(|_| pool.register_cell()).collect(),
                 adm: AdmissionController::new(cfg.marks),
                 ledger: Ledger::default(),
                 digest: fold(FNV_OFFSET, u64::from(s)),
@@ -823,8 +806,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                                     queued = now - due;
                                 }
                             }
-                            match serve_one(&mut s, &mut t, &pool, cfg, base, session, req, attempt)
-                            {
+                            match serve_one(&mut s, &mut t, cfg, base, session, req, attempt) {
                                 Served::Done => {
                                     if cfg.open_loop_period_ns > 0 {
                                         s.queue_ns.push(queued);
@@ -916,8 +898,14 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
             assert!(rep.is_fully_reclaimed(), "reap left regions blocked: {rep}");
             reaped += rep.reaped.len() as u64 + rep.settled.len() as u64;
         }
+        // The pool books only what crashes stranded: one region per
+        // injected panic, so a row from any other path fails here.
         let audit = pool.audit();
         assert!(audit.is_clean(), "pool audit dirty after round {round}: {audit}");
+        assert_eq!(
+            audit.regions_audited, panics_seen,
+            "pool holds regions no crash stranded after round {round}: {audit}"
+        );
         assert!(
             round_fleet.conserves(),
             "ledger does not conserve after round {round}: {round_fleet:?}"

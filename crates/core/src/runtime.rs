@@ -9,7 +9,7 @@
 //! region's own objects to release the counts they hold on other regions
 //! (§4.2.4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use simheap::{align_up, Addr, HeapBackend, HeapConfig, HeapImage, SimHeap, PAGE_SIZE, WORD};
 
@@ -110,16 +110,16 @@ impl BumpState {
 /// deletion adds the middle state: a *parked* region has passed the
 /// zero-reference proof (or skipped it, mid-scan) but still holds pages
 /// while its deletion is resumed one budgeted increment at a time. The
-/// resumable work itself lives in `RegionRuntime::deletions`, keyed by
-/// region index — a region is `Parked` iff that map has an entry for it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// parked state carries the resumable work itself, so a deletion in
+/// progress is booked in one place.
+#[derive(Clone, PartialEq, Eq, Debug)]
 enum Liveness {
     Live,
-    /// Deletion in progress. `scanning` is true only during the
-    /// stack-scan phase, where the region's own count is still being
-    /// maintained exactly (a scanned local may yet block the delete);
-    /// from cleanup onward any count traffic on the region is a misuse.
-    Parked { scanning: bool },
+    /// Deletion in progress, to be resumed from this phase. Only in the
+    /// stack-scan phase is the region's own count still maintained
+    /// exactly (a scanned local may yet block the delete); from cleanup
+    /// onward any count traffic on the region is a misuse.
+    Parked(DeletePhase),
     Dead,
 }
 
@@ -146,21 +146,15 @@ pub enum DeleteProgress {
     Parked,
 }
 
-/// Resumable state of one parked incremental deletion. Serialized into
-/// `RSNP` snapshots alongside the region's liveness byte, so a
-/// kill-and-restore mid-deletion replays the remaining increments
-/// exactly.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct DeletionState {
-    pub(crate) phase: DeletePhase,
-}
-
 /// The phase split of an incremental `deleteregion`: bring the doomed
 /// region's count up to date (stack scan), release the counts its
 /// objects hold on other regions (the Figure 7 walk, driven by an
 /// explicit mark stack instead of nested loops), then return pages.
+/// A parked region's phase is serialized into `RSNP` snapshots after
+/// its liveness byte, so a kill-and-restore mid-deletion replays the
+/// remaining increments exactly.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum DeletePhase {
+enum DeletePhase {
     /// Scanning unscanned stack frames, one frame per work unit. The
     /// `attempt_*` totals track the scan work done by *this* delete
     /// attempt so a refusal can be attributed
@@ -175,6 +169,19 @@ pub(crate) enum DeletePhase {
     /// Returning pages to the pool, stored in reverse release order
     /// (pages are released normal pages first, then string pages).
     ReturnPages { pages: Vec<Addr> },
+}
+
+impl DeletePhase {
+    /// The same phase with its work list left out: what a region's
+    /// liveness holds while an increment runs that phase. The count
+    /// rules depend only on which phase is running.
+    fn without_work(&self) -> DeletePhase {
+        match self {
+            DeletePhase::ScanStack { .. } => self.clone(),
+            DeletePhase::Cleanup { .. } => DeletePhase::Cleanup { marks: Vec::new() },
+            DeletePhase::ReturnPages { .. } => DeletePhase::ReturnPages { pages: Vec::new() },
+        }
+    }
 }
 
 /// A stack frame of region-pointer locals (see `stack.rs`).
@@ -261,9 +268,6 @@ pub struct RegionRuntime<H: HeapBackend = SimHeap> {
     /// released, or one page returned. Host-side tuning state: not
     /// serialized, restored runtimes default to unbounded.
     delete_budget: u64,
-    /// Parked deletions by region index (invariant: an entry exists iff
-    /// the region's liveness is `Parked`).
-    deletions: BTreeMap<u32, DeletionState>,
     /// Refused-scan attribution ([`ScanAttribution`]); host-side
     /// diagnostics, not serialized.
     scan_attr: ScanAttribution,
@@ -330,7 +334,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
             violations: Vec::new(),
             global_ptr_locs: BTreeSet::new(),
             delete_budget: u64::MAX,
-            deletions: BTreeMap::new(),
             scan_attr: ScanAttribution::default(),
         }
     }
@@ -641,26 +644,26 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Panics if `r` was deleted.
     pub fn rc(&self, r: RegionId) -> i64 {
         let info = &self.regions[r.0 as usize];
-        assert!(info.liveness != Liveness::Dead, "rc of deleted region {r:?}");
+        assert!(!matches!(info.liveness, Liveness::Dead), "rc of deleted region {r:?}");
         info.rc
     }
 
     /// `true` if the region is fully live: not deleted and not parked
     /// mid-incremental-deletion.
     pub fn is_live(&self, r: RegionId) -> bool {
-        self.regions[r.0 as usize].liveness == Liveness::Live
+        matches!(self.regions[r.0 as usize].liveness, Liveness::Live)
     }
 
     /// `true` if the region is parked mid-incremental-deletion: doomed
     /// (no allocation can succeed) but still holding pages until the
     /// remaining [`RegionRuntime::try_delete_region_step`] increments run.
     pub fn is_parked(&self, r: RegionId) -> bool {
-        matches!(self.regions[r.0 as usize].liveness, Liveness::Parked { .. })
+        matches!(self.regions[r.0 as usize].liveness, Liveness::Parked(_))
     }
 
     /// Region indices currently parked mid-deletion, in index order.
     pub fn parked_regions(&self) -> Vec<RegionId> {
-        self.deletions.keys().map(|&i| RegionId(i)).collect()
+        (0..self.regions.len() as u32).map(RegionId).filter(|&r| self.is_parked(r)).collect()
     }
 
     /// The incremental-deletion work budget
@@ -697,7 +700,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
         debug_assert_eq!(total % WORD, 0);
         match self.regions[r.0 as usize].liveness {
             Liveness::Live => {}
-            Liveness::Parked { .. } => return Err(RegionError::RegionDoomed { region: r }),
+            Liveness::Parked(_) => return Err(RegionError::RegionDoomed { region: r }),
             Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
         }
         if total > PAGE_SIZE {
@@ -877,7 +880,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     fn counts_maintained(&self, r: RegionId) -> bool {
         matches!(
             self.regions[r.0 as usize].liveness,
-            Liveness::Live | Liveness::Parked { scanning: true }
+            Liveness::Live | Liveness::Parked(DeletePhase::ScanStack { .. })
         )
     }
 
@@ -1128,36 +1131,21 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Returns [`DeleteProgress::Done`] when the region is gone and
     /// [`DeleteProgress::Parked`] when budget ran out mid-phase.
     pub fn try_delete_region_step(&mut self, r: RegionId) -> Result<DeleteProgress, RegionError> {
-        let state = match self.regions[r.0 as usize].liveness {
+        let liveness = std::mem::replace(&mut self.regions[r.0 as usize].liveness, Liveness::Dead);
+        let phase = match liveness {
             Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
-            Liveness::Live => {
-                if !self.is_safe() {
-                    // Unsafe mode has no counts to prove or release:
-                    // deletion is unconditional and the only work is
-                    // handing pages back, which is still budgeted.
-                    self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
-                    DeletionState { phase: DeletePhase::ReturnPages { pages: self.take_pages(r) } }
-                } else {
-                    self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: true };
-                    DeletionState {
-                        phase: DeletePhase::ScanStack { attempt_frames: 0, attempt_slots: 0 },
-                    }
-                }
+            Liveness::Parked(phase) => phase,
+            // Unsafe mode has no counts to prove or release: deletion is
+            // unconditional and the only work is handing pages back,
+            // which is still budgeted.
+            Liveness::Live if !self.is_safe() => {
+                DeletePhase::ReturnPages { pages: self.take_pages(r) }
             }
-            Liveness::Parked { .. } => self
-                .deletions
-                .remove(&r.0)
-                .expect("parked region has a checked-out deletion state"),
+            Liveness::Live => DeletePhase::ScanStack { attempt_frames: 0, attempt_slots: 0 },
         };
-        let outcome = self.run_increment(r, state);
+        let outcome = self.run_increment(r, phase);
         self.unscan_top();
-        match outcome? {
-            Some(state) => {
-                self.deletions.insert(r.0, state);
-                Ok(DeleteProgress::Parked)
-            }
-            None => Ok(DeleteProgress::Done),
-        }
+        outcome
     }
 
     /// Empties both of `r`'s page lists into the `ReturnPages` queue:
@@ -1171,26 +1159,33 @@ impl<H: HeapBackend> RegionRuntime<H> {
         pages
     }
 
+    /// Parks `r` at `phase`, where the next increment resumes.
+    fn park(&mut self, r: RegionId, phase: DeletePhase) -> DeleteProgress {
+        self.regions[r.0 as usize].liveness = Liveness::Parked(phase);
+        DeleteProgress::Parked
+    }
+
     /// Body of one increment: spend up to `delete_budget` units on
-    /// `state`, returning `Some(state)` to park or `None` when the
-    /// deletion completed. Phase transitions within one increment are
-    /// free; every unit of real work (a frame scanned, an object's
-    /// fields released, a page returned) is charged.
+    /// `phase`, parking the region when the budget runs out. Phase
+    /// transitions within one increment are free; every unit of real
+    /// work (a frame scanned, an object's fields released, a page
+    /// returned) is charged.
     fn run_increment(
         &mut self,
         r: RegionId,
-        state: DeletionState,
-    ) -> Result<Option<DeletionState>, RegionError> {
+        mut phase: DeletePhase,
+    ) -> Result<DeleteProgress, RegionError> {
         let mut budget = self.delete_budget;
-        let mut phase = state.phase;
         loop {
+            // While a phase runs, its work list lives here; the region's
+            // liveness names the phase, which is all the count rules read.
+            self.regions[r.0 as usize].liveness = Liveness::Parked(phase.without_work());
             match phase {
                 DeletePhase::ScanStack { mut attempt_frames, mut attempt_slots } => {
                     while self.hwm < self.frames.len() {
                         if budget == 0 {
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::ScanStack { attempt_frames, attempt_slots },
-                            }));
+                            let phase = DeletePhase::ScanStack { attempt_frames, attempt_slots };
+                            return Ok(self.park(r, phase));
                         }
                         let slots = self.scan_one_frame();
                         attempt_frames += 1;
@@ -1208,7 +1203,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         self.regions[r.0 as usize].liveness = Liveness::Live;
                         return Err(RegionError::DeleteBlocked { region: r, rc });
                     }
-                    self.regions[r.0 as usize].liveness = Liveness::Parked { scanning: false };
                     // Mark stack, pushed in reverse so pops walk the
                     // pages in list order. Each mark is (page, start
                     // offset, cursor); the cursor resumes mid-page.
@@ -1226,9 +1220,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         let parked = self.cleanup_page(r, page, start, cursor, &mut budget);
                         if let Some(cursor) = parked {
                             marks.push((page, start, cursor));
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::Cleanup { marks },
-                            }));
+                            return Ok(self.park(r, DeletePhase::Cleanup { marks }));
                         }
                     }
                     self.costs.deletes += 1;
@@ -1237,9 +1229,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 DeletePhase::ReturnPages { mut pages } => {
                     while let Some(&p) = pages.last() {
                         if budget == 0 {
-                            return Ok(Some(DeletionState {
-                                phase: DeletePhase::ReturnPages { pages },
-                            }));
+                            return Ok(self.park(r, DeletePhase::ReturnPages { pages }));
                         }
                         self.release_page(p);
                         pages.pop();
@@ -1249,7 +1239,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     info.liveness = Liveness::Dead;
                     let bytes = info.bytes;
                     self.stats.on_region_deleted(bytes);
-                    return Ok(None);
+                    return Ok(DeleteProgress::Done);
                 }
             }
         }
@@ -1449,83 +1439,29 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         // 3. Every live region's objects, via descriptors (read-only
         //    Figure 7 walk); sameregion pointers are not counted.
-        //
-        //    Parked regions route by deletion phase: before or during
-        //    the stack scan the region is still fully counted, so it
-        //    walks like a live one; mid-cleanup only the *unprocessed*
-        //    remainder (from each mark's cursor) still holds counts on
-        //    other regions — everything before the cursor has already
-        //    been released; once cleanup finished (pages draining back)
-        //    the region contributes nothing, like a dead one.
-        for (i, info) in self.regions.iter().enumerate() {
-            let walk: Vec<(Addr, u32)> = match info.liveness {
-                Liveness::Dead => continue,
-                Liveness::Live => {
-                    report.live_regions += 1;
-                    info.normal.pages.clone()
-                }
-                Liveness::Parked { .. } => {
-                    report.parked_regions += 1;
-                    match &self.deletions.get(&(i as u32)).expect("parked region has state").phase
-                    {
-                        DeletePhase::ScanStack { .. } => info.normal.pages.clone(),
-                        DeletePhase::Cleanup { marks } => {
-                            marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
-                        }
-                        DeletePhase::ReturnPages { .. } => continue,
-                    }
-                }
-            };
-            let owner = RegionId(i as u32);
-            for &(page, start) in &walk {
-                let mut cur = page + start;
-                let end = page + PAGE_SIZE;
-                while cur + WORD <= end {
-                    let hdr = self.heap.peek_u32(cur);
-                    if hdr == 0 {
-                        break;
-                    }
-                    report.objects_walked += 1;
-                    if hdr & ARRAY_FLAG != 0 {
-                        let desc = DescId((hdr & !ARRAY_FLAG) - 1);
-                        let n = self.heap.peek_u32(cur + WORD);
-                        let stride = self.heap.peek_u32(cur + 2 * WORD);
-                        let data = cur + 3 * WORD;
-                        for e in 0..n {
-                            for &off in self.descs.get(desc).ptr_offsets() {
-                                report.ptr_fields_walked += 1;
-                                let v = Addr::new(self.heap.peek_u32(data + e * stride + off));
-                                if let Some(s) = self.region_of_peek(v) {
-                                    if s != owner {
-                                        recomputed[s.0 as usize] += 1;
-                                    }
-                                }
-                            }
-                        }
-                        cur = data + n * stride;
-                    } else {
-                        let desc = DescId(hdr - 1);
-                        let data = cur + WORD;
-                        let d = self.descs.get(desc);
-                        for &off in d.ptr_offsets() {
-                            report.ptr_fields_walked += 1;
-                            let v = Addr::new(self.heap.peek_u32(data + off));
-                            if let Some(s) = self.region_of_peek(v) {
-                                if s != owner {
-                                    recomputed[s.0 as usize] += 1;
-                                }
-                            }
-                        }
-                        cur = data + align_up(d.size(), WORD);
-                    }
+        let mut ptr_fields = 0;
+        let walked = self.walk_objects(|owner, field| {
+            ptr_fields += 1;
+            let v = Addr::new(self.heap.peek_u32(field));
+            if let Some(s) = self.region_of_peek(v) {
+                if s != owner {
+                    recomputed[s.0 as usize] += 1;
                 }
             }
-        }
+        });
+        report.objects_walked =
+            walked.unwrap_or_else(|at| panic!("sanitize: corrupt object header at {at:?}"));
+        report.ptr_fields_walked = ptr_fields;
         for (i, info) in self.regions.iter().enumerate() {
             // Parked regions proved rc == 0 before cleanup began and
             // nothing may point into them afterwards, so they are held
             // to the same recount as live ones.
-            if info.liveness != Liveness::Dead && recomputed[i] != info.rc {
+            match info.liveness {
+                Liveness::Live => report.live_regions += 1,
+                Liveness::Parked(_) => report.parked_regions += 1,
+                Liveness::Dead => continue,
+            }
+            if recomputed[i] != info.rc {
                 report.rc_mismatches.push(RcMismatch {
                     region: RegionId(i as u32),
                     recorded: info.rc,
@@ -1570,20 +1506,18 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         // -- regions --
         w.u32(self.regions.len() as u32);
-        for (i, info) in self.regions.iter().enumerate() {
+        for info in &self.regions {
             w.i64(info.rc);
             // Liveness byte: 0 = dead, 1 = live (the historical bool,
             // byte-identical when no deletion is parked), 2 = parked —
             // followed by the phase payload so a restore resumes the
             // deletion exactly where it parked.
-            match info.liveness {
+            match &info.liveness {
                 Liveness::Dead => w.u8(0),
                 Liveness::Live => w.u8(1),
-                Liveness::Parked { .. } => {
+                Liveness::Parked(phase) => {
                     w.u8(2);
-                    let state =
-                        self.deletions.get(&(i as u32)).expect("parked region has state");
-                    match &state.phase {
+                    match phase {
                         DeletePhase::ScanStack { attempt_frames, attempt_slots } => {
                             w.u8(0);
                             w.u64(*attempt_frames);
@@ -1789,13 +1723,11 @@ impl<H: HeapBackend> RegionRuntime<H> {
         r.section("regions");
         let n_regions = r.u32()?;
         let mut regions = Vec::new();
-        let mut deletions = BTreeMap::new();
-        for idx in 0..n_regions {
+        for _ in 0..n_regions {
             let rc = r.i64()?;
             // Liveness byte 2 = parked mid-deletion; its phase payload
             // precedes the bump allocators in the stream, so decode it
             // first and cross-validate once the page lists are known.
-            let mut parked_phase: Option<DeletePhase> = None;
             let liveness = match r.u8()? {
                 0 => Liveness::Dead,
                 1 => Liveness::Live,
@@ -1843,9 +1775,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         }
                         _ => return Err(r.malformed()),
                     };
-                    let scanning = matches!(phase, DeletePhase::ScanStack { .. });
-                    parked_phase = Some(phase);
-                    Liveness::Parked { scanning }
+                    Liveness::Parked(phase)
                 }
                 _ => return Err(r.malformed()),
             };
@@ -1868,7 +1798,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             let [normal, string] = bumps;
             let bytes = r.u64()?;
             let allocs = r.u64()?;
-            if let Some(phase) = parked_phase {
+            if let Liveness::Parked(phase) = &liveness {
                 // Only the page-return phase exists in unsafe mode (no
                 // counts to prove or release).
                 if mode == SafetyMode::Unsafe
@@ -1876,7 +1806,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 {
                     return Err(r.malformed());
                 }
-                match &phase {
+                match phase {
                     DeletePhase::ScanStack { .. } => {}
                     DeletePhase::Cleanup { marks } => {
                         // The mark stack is the still-unprocessed pages
@@ -1906,7 +1836,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         }
                     }
                 }
-                deletions.insert(idx, DeletionState { phase });
             }
             regions.push(RegionInfo { rc, liveness, normal, string, bytes, allocs });
         }
@@ -2074,9 +2003,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
             // Host-side tuning knobs and diagnostics are deliberately
             // not serialized: a restored runtime defaults to an unbounded
             // delete budget (the caller re-applies its own) and fresh
-            // attribution, while `deletions` was rebuilt above.
+            // attribution.
             delete_budget: u64::MAX,
-            deletions,
             scan_attr: ScanAttribution::default(),
         })
     }
@@ -2088,7 +2016,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// decoded state. Violations recorded *before* capture are data and
     /// round-trip without tripping the gate.
     pub(crate) fn finish_restore(self) -> Result<Self, SnapshotError> {
-        self.validate_object_walk()?;
+        self.walk_objects(|_, _| {})
+            .map_err(|_| SnapshotError::Malformed { section: "object-walk", offset: 0 })?;
         let report = self.sanitize();
         if !report.rc_mismatches.is_empty() || !report.mirror_mismatches.is_empty() {
             return Err(SnapshotError::SanitizeFailed {
@@ -2202,31 +2131,37 @@ impl RegionRuntime {
 }
 
 impl<H: HeapBackend> RegionRuntime<H> {
-    /// Restore-time guard: re-walks every live region's normal pages the
-    /// way the cleanup scan and the sanitizer do, with every step checked,
-    /// so decoded heap bytes whose object headers are corrupt (a chaos
-    /// bit-flip, say) are rejected here with a typed error instead of
-    /// faulting a later walk. A clean snapshot always passes: the checks
-    /// are exactly the invariants `try_bump`/`try_ralloc` establish.
-    fn validate_object_walk(&self) -> Result<(), SnapshotError> {
-        let bad = || SnapshotError::Malformed { section: "object-walk", offset: 0 };
+    /// The object walk shared by [`RegionRuntime::sanitize`] and restore:
+    /// every object of every region that still holds counts, decoded
+    /// from its header the way the cleanup scan does (Figure 7), with
+    /// `field(owner, addr)` called for each pointer field. Returns the
+    /// number of objects walked.
+    ///
+    /// Parked regions route by deletion phase: before or during the
+    /// stack scan the region is still fully counted, so it walks like a
+    /// live one; mid-cleanup only the unprocessed remainder (from each
+    /// mark's cursor) still holds counts, since everything before a
+    /// cursor has been released and no longer holds decodable objects;
+    /// once only page returns remain the region contributes nothing.
+    ///
+    /// Every step is checked, so decoded heap bytes whose object headers
+    /// are corrupt (a chaos bit-flip, say) stop the walk with the
+    /// offending header's address instead of faulting it. The checks are
+    /// exactly the invariants `try_bump`/`try_ralloc` establish, so a
+    /// runtime's own heap always passes.
+    fn walk_objects(&self, mut field: impl FnMut(RegionId, Addr)) -> Result<u64, Addr> {
+        let mut objects = 0;
         for (i, info) in self.regions.iter().enumerate() {
-            // Same phase routing as the sanitizer: a parked region's
-            // already-cleaned prefix no longer holds decodable objects,
-            // so only walk from each mark's cursor onward.
-            let walk: Vec<(Addr, u32)> = match info.liveness {
-                Liveness::Dead => continue,
-                Liveness::Live => info.normal.pages.clone(),
-                Liveness::Parked { .. } => {
-                    match &self.deletions.get(&(i as u32)).ok_or_else(bad)?.phase {
-                        DeletePhase::ScanStack { .. } => info.normal.pages.clone(),
-                        DeletePhase::Cleanup { marks } => {
-                            marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
-                        }
-                        DeletePhase::ReturnPages { .. } => continue,
-                    }
+            let walk: Vec<(Addr, u32)> = match &info.liveness {
+                Liveness::Live | Liveness::Parked(DeletePhase::ScanStack { .. }) => {
+                    info.normal.pages.clone()
                 }
+                Liveness::Parked(DeletePhase::Cleanup { marks }) => {
+                    marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
+                }
+                Liveness::Parked(DeletePhase::ReturnPages { .. }) | Liveness::Dead => continue,
             };
+            let owner = RegionId(i as u32);
             for &(page, start) in &walk {
                 let mut cur = page + start;
                 let end = page + PAGE_SIZE;
@@ -2235,38 +2170,47 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     if hdr == 0 {
                         break;
                     }
+                    objects += 1;
                     if hdr & ARRAY_FLAG != 0 {
                         let idx = hdr & !ARRAY_FLAG;
                         if idx == 0 || idx as usize > self.descs.len() || cur + 3 * WORD > end {
-                            return Err(bad());
+                            return Err(cur);
                         }
                         let desc = self.descs.get(DescId(idx - 1));
                         let n = self.heap.peek_u32(cur + WORD);
                         let stride = self.heap.peek_u32(cur + 2 * WORD);
-                        if stride != align_up(desc.size(), WORD) {
-                            return Err(bad());
-                        }
                         let data = cur + 3 * WORD;
                         let span = u64::from(n) * u64::from(stride);
-                        if u64::from(data.raw()) + span > u64::from(end.raw()) {
-                            return Err(bad());
+                        if stride != align_up(desc.size(), WORD)
+                            || u64::from(data.raw()) + span > u64::from(end.raw())
+                        {
+                            return Err(cur);
+                        }
+                        for e in 0..n {
+                            for &off in desc.ptr_offsets() {
+                                field(owner, data + e * stride + off);
+                            }
                         }
                         cur = data + span as u32;
                     } else {
                         if hdr as usize > self.descs.len() {
-                            return Err(bad());
+                            return Err(cur);
                         }
-                        let size = align_up(self.descs.get(DescId(hdr - 1)).size(), WORD);
+                        let desc = self.descs.get(DescId(hdr - 1));
+                        let size = align_up(desc.size(), WORD);
                         let data = cur + WORD;
                         if u64::from(data.raw()) + u64::from(size) > u64::from(end.raw()) {
-                            return Err(bad());
+                            return Err(cur);
+                        }
+                        for &off in desc.ptr_offsets() {
+                            field(owner, data + off);
                         }
                         cur = data + size;
                     }
                 }
             }
         }
-        Ok(())
+        Ok(objects)
     }
 }
 

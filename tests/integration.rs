@@ -408,40 +408,46 @@ fn deletion_budget_leaves_the_books_unchanged() {
     );
 }
 
-/// Tier-1 reach of the golden access traces: cfrac's safe-region stream
-/// at scale 1 — every stack scan, cleanup walk, page release and unscan
-/// of its deletions, in order — must match the committed Figure 10
-/// golden.
+/// Tier-1 reach of the golden access traces: cfrac's and tile's
+/// safe-region streams at scale 1 — every stack scan, cleanup walk, page
+/// release and unscan of their deletions, in order — must match the
+/// committed Figure 10 goldens. cfrac's file is trace format v2 (range
+/// records); tile's is v1, recorded before batching, so it also holds
+/// the expander's compatibility path.
 #[test]
 fn cfrac_access_stream_matches_its_committed_golden() {
     use bench_harness::golden::{golden_path, record_region_trace, GoldenTrace};
 
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden_path("fig10", "cfrac", 1));
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let golden =
-        GoldenTrace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let fresh = record_region_trace(Workload::Cfrac, 1);
-    if let Err(e) = golden.compare(&fresh, 1) {
-        panic!("cfrac's access stream diverged from {}: {e}", path.display());
+    for w in [Workload::Cfrac, Workload::Tile] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(golden_path("fig10", w.name(), 1));
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let golden =
+            GoldenTrace::from_bytes(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let fresh = record_region_trace(w, 1);
+        if let Err(e) = golden.compare(&fresh, 1) {
+            panic!("{}'s access stream diverged from {}: {e}", w.name(), path.display());
+        }
     }
 }
 
-/// Tier-1 reach of the golden end states: tile's safe-region runtime
-/// after a scale-1 run — regions, heap pages, counters — must match the
-/// committed RSNP snapshot byte for byte. A mismatch names the first
-/// drifted field.
+/// Tier-1 reach of the golden end states: tile's and cfrac's
+/// safe-region runtimes after a scale-1 run — regions, heap pages,
+/// counters — must match the committed RSNP snapshots byte for byte. A
+/// mismatch names the first drifted field.
 #[test]
 fn tile_end_state_matches_its_committed_golden() {
     use bench_harness::diff::snapshot_divergence;
     use bench_harness::golden::{golden_state_path, record_region_state};
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(golden_state_path("fig10", "tile", 1));
-    let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let fresh = record_region_state(Workload::Tile, 1);
-    if let Some(field) = snapshot_divergence(&golden, &fresh) {
-        panic!("tile's end state diverged from {}: {field}", path.display());
+    for w in [Workload::Tile, Workload::Cfrac] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(golden_state_path("fig10", w.name(), 1));
+        let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let fresh = record_region_state(w, 1);
+        if let Some(field) = snapshot_divergence(&golden, &fresh) {
+            panic!("{}'s end state diverged from {}: {field}", w.name(), path.display());
+        }
     }
 }
 
