@@ -96,15 +96,18 @@ cargo test -q -p region-core --lib world
 echo "== shard A/B (records BENCH_shard quick variant) =="
 # Private SimHeap vs W=1 shard books bit-identical; the 4-shard shared
 # world digest thread-count-independent. The committed BENCH_shard.json
-# is the default-scale record; the quick rerun goes to target/. The
-# private-vs-shard digest is pinned, so a change that moves both arms'
-# books the same way still fails.
-out=$(BENCH_SHARD_OUT=target/BENCH_shard_quick.json \
-    ./target/release/par_regions --shard-ab --quick)
+# is the default-scale record; the quick rerun goes to
+# target/quick-results/. The private-vs-shard digest is pinned, so a
+# change that moves both arms' books the same way still fails.
+out=$(./target/release/par_regions --shard-ab --quick)
 pin "shard A/B" "private vs W=1 shard: digest 6f1fb632400eb0a8" "$out"
 
 echo "== chaos soak (fault injection + sanitizer + VM), --quick =="
-./target/release/chaos --quick >/dev/null
+# The whole soak's digest folds every scenario's, so alloc-faults,
+# sbrk-squeeze and oom, which have no pinned step of their own, are
+# pinned here.
+out=$(./target/release/chaos --quick)
+pin "chaos soak" "digest e7ef9d5ed8113503 (bit-identical re-run)" "$out"
 
 echo "== par-chaos: contained worker faults, quarantine + reap, sanitize on =="
 # Phase 2 reruns the panic chaos on one shared address space: abandoned
@@ -116,11 +119,11 @@ pin par-chaos "digest 3840349d876ec331 (bit-identical re-run)" "$out"
 echo "== region service under adversity (deadlines, backpressure, quarantine) =="
 # Quick soak of the long-lived region service: books asserted
 # byte-identical at 1/2/4 OS threads and across a same-seed rerun,
-# ledger conserved, every quarantined region reaped. The committed
-# BENCH_server.json is the full-scale record; the quick rerun goes to
-# target/ so it can't clobber it. The quick books are pinned.
-out=$(REGION_SANITIZE=1 BENCH_SERVER_OUT=target/BENCH_server_quick.json \
-    ./target/release/server --quick)
+# ledger conserved, every region a crash stranded reclaimed by its
+# retry. The committed BENCH_server.json is the full-scale record; the
+# quick rerun goes to target/quick-results/ so it can't clobber it. The
+# quick books are pinned.
+out=$(REGION_SANITIZE=1 ./target/release/server --quick)
 pin "server books" "books 4d44ec2fd9b9b10a identical" "$out"
 
 echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
@@ -130,8 +133,7 @@ echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
 # across an unbounded, a 64-unit and a 1-unit deletion budget — only
 # the wall-clock and pause columns may drift (--ignore-time).
 for b in inf 64 1; do
-    out=$(REGION_SANITIZE=1 BENCH_SERVER_OUT="target/BENCH_server_b$b.json" \
-        ./target/release/server --quick --delete-budget "$b")
+    out=$(REGION_SANITIZE=1 ./target/release/server --quick --delete-budget "$b")
     pin "server books at budget $b" "books 4d44ec2fd9b9b10a identical" "$out"
     cp target/quick-results/server.json "target/server_b$b.json"
 done
@@ -157,9 +159,8 @@ echo "== elision A/B on the workload suite (records BENCH_elision.json) =="
 # asserts identical checksums, a conserved barrier split, deterministic
 # counters across reps, and a reduction on grobner/tile/mudlle. The
 # committed BENCH_elision.json is the default-scale record; the quick
-# rerun goes to target/ so it can't clobber it.
-BENCH_ELISION_OUT=target/BENCH_elision_quick.json \
-    ./target/release/fig11 --elision-ab --quick >/dev/null
+# rerun goes to target/quick-results/ so it can't clobber it.
+./target/release/fig11 --elision-ab --quick >/dev/null
 
 echo "== REGION_SANITIZE=1 smoke (one fig8 row, audited after the run) =="
 REGION_SANITIZE=1 ./target/release/fig8 --quick --only tile >/dev/null

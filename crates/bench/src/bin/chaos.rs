@@ -22,8 +22,8 @@
 //! | `oom`           | genuine simulated OOM from a tiny `max_bytes` |
 //! | `vm-chaos`      | seeded random C@ programs (linked lists; arrays + nested regions; recursive call trees; region-typed returns) through the compiler + VM with alloc/sbrk faults and fuel exhaustion, each run A/B with barrier elision off and on under [`supervise`] — the runs must be observationally identical outside the barrier split, and the VM must trap, never panic |
 //! | `par-chaos`     | supervised `ParRegionPool` workers panic mid-schedule holding published references; the pool must quarantine, audit clean, and reap — never leak or panic at the API. A second phase reruns the chaos with every worker also mutating its shard of ONE shared address space: the abandoned runtimes must sanitize clean, the published page→region mirror must match every shard's books, and the whole world must capture → restore → recapture byte-equal each round |
-//! | `kill-restore`  | kills the soak at a seeded uniform op index (including mid-fault-window, under the alloc-fault plan), snapshots runtime + driver, restores into a fresh context through the sanitize and pool-audit gates, and replays the remainder — the digest and every counter must equal the uninterrupted control run; corrupted snapshots (truncation, bit flips, bad magic/version, trailing bytes) must be rejected with a typed [`SnapshotError`], never a panic |
-//! | `server-chaos`  | full adversity rounds of the long-lived region service ([`bench_harness::run_service`]): per-request regions under injected allocation faults (bounded deterministic retry), injected worker panics (quarantine + reap), and footprint watermarks (degrade, then shed with a typed error), with ledger conservation, clean audits and sanitize every round, and the encoded books asserted byte-identical at 1/2/4 OS threads |
+//! | `kill-restore`  | kills the soak at a seeded uniform op index (including mid-fault-window, under the alloc-fault plan), snapshots runtime + driver, restores into a fresh context through the sanitize gate, and replays the remainder — the digest and every counter must equal the uninterrupted control run; corrupted snapshots (truncation, bit flips, bad magic/version, trailing bytes) must be rejected with a typed [`SnapshotError`], never a panic |
+//! | `server-chaos`  | full adversity rounds of the long-lived region service ([`bench_harness::run_service`]): per-request regions under injected allocation faults (bounded deterministic retry), injected worker panics (each strands a half-served request region in its session's runtime, which the retry reclaims), and footprint watermarks (degrade, then shed with a typed error), with ledger conservation, stranded == reclaimed == panics and sanitize every round, and the encoded books asserted byte-identical at 1/2/4 OS threads |
 //!
 //! When a Soak-shaped scenario fails, the soak re-runs its seed and
 //! writes a complete pre-first-fault image (`RSNP` runtime snapshot +
@@ -716,14 +716,12 @@ impl Soak {
 /// once straight through (the control), once killed at a uniformly seeded
 /// op index (under the alloc-fault plan, so kills land before, inside,
 /// and after injected-fault windows), snapshotted, dropped, restored
-/// through the sanitize + pool-audit gates, and replayed. The resumed
+/// through the sanitize gate, and replayed. The resumed
 /// run's digest and *every* counter must equal the control's. A seeded
 /// corrupt-input battery (truncations, bit flips, bad magic, bad
 /// version, trailing bytes) then asserts every rejection is a typed
 /// [`SnapshotError`], never a panic.
 fn scenario_kill_restore(seed: u64, ops: u64) -> Tally {
-    use region_core::par::ParRegionPool;
-
     let trials = (ops / 30).max(8);
     let mut meta = Rng::seeded(seed ^ 0x4B13_57E5);
     let mut tally = Tally::default();
@@ -751,12 +749,6 @@ fn scenario_kill_restore(seed: u64, ops: u64) -> Tally {
         drop(victim); // the kill: nothing survives but the bytes
         let mut revived = Soak::restore(&image)
             .unwrap_or_else(|e| panic!("trial {trial}: clean snapshot refused: {e}"));
-        // The runtime's sanitize gate ran inside restore; the restored
-        // process's parallel-pool subsystem must audit clean too before
-        // the replay is allowed to proceed.
-        let audit = ParRegionPool::new().audit();
-        assert!(audit.is_clean(), "trial {trial}: pool audit dirty after restore: {audit}");
-        tally.sanitize_runs += 1;
         for _ in kill_at..trial_ops {
             revived.step();
         }
@@ -1517,7 +1509,6 @@ fn scenario_vm(seed: u64, ops: u64) -> Tally {
         deadline: Some(std::time::Duration::from_secs(120)),
         max_attempts: 1,
         backoff: std::time::Duration::from_millis(1),
-        retry_timeouts: false,
     };
     let reports = supervise(jobs, &cfg);
     let (mut finished, mut trapped) = (0u64, 0u64);
@@ -1618,7 +1609,6 @@ fn scenario_par(seed: u64, ops: u64) -> Tally {
         deadline: Some(std::time::Duration::from_secs(60)),
         max_attempts: 2,
         backoff: std::time::Duration::from_millis(1),
-        retry_timeouts: false,
     };
     for round in 0..rounds {
         let pool = ParRegionPool::new();
@@ -2087,15 +2077,18 @@ fn scenario_par(seed: u64, ops: u64) -> Tally {
 /// Region-service chaos: full adversity rounds of the long-lived
 /// service engine ([`bench_harness::run_service`]) — per-request
 /// regions on one shared address space under injected allocation
-/// faults (bounded deterministic retry), injected worker panics
-/// (quarantine + reap, the fleet keeps serving), and footprint
-/// watermarks (degrade, then shed with a typed `Overloaded` error).
-/// The engine itself asserts ledger conservation, a clean pool audit,
-/// and (with `sanitize_rounds`, forced on here) a clean sanitize for
-/// every session after every round; this scenario additionally runs
-/// every trial at 1, 2 and 4 OS threads and asserts the encoded books
-/// — fleet ledger, per-session ledgers, digest, footprint high-water,
-/// quarantine counters — are byte-identical across the thread counts.
+/// faults (bounded deterministic retry), injected worker panics (each
+/// strands a half-served request region in its session's runtime, which
+/// the batch's retry reclaims while the fleet keeps serving), and
+/// footprint watermarks (degrade, then shed with a typed `Overloaded`
+/// error). The engine itself asserts ledger conservation, one stranded
+/// and one reclaimed region per injected panic, and (with
+/// `sanitize_rounds`, forced on here) a clean sanitize for every
+/// session after every round; this scenario additionally runs every
+/// trial at 1, 2 and 4 OS threads and asserts the encoded books — fleet
+/// ledger, per-session ledgers, digest, footprint high-water,
+/// stranded/reclaimed counters — are byte-identical across the thread
+/// counts.
 fn scenario_server(seed: u64, ops: u64) -> Tally {
     use bench_harness::{run_service, ServiceConfig};
 

@@ -208,7 +208,6 @@ fn main() {
         deadline: Some(Duration::from_secs(120)),
         max_attempts: 1,
         backoff: Duration::from_millis(1),
-        retry_timeouts: false,
     };
     let reports = supervise(jobs, &cfg);
     let mut runs: Vec<Option<RunRec>> = Vec::new();

@@ -387,8 +387,8 @@ fn ab_arm<H: HeapBackend>(rt: RegionRuntime<H>, ops: u64) -> (f64, u64, u64, u64
 }
 
 /// Interleaved A/B for the sharded space, recorded as `BENCH_shard.json`
-/// (`BENCH_SHARD_OUT` redirects, so CI's quick smoke does not clobber
-/// the committed default-scale record). Two comparisons:
+/// (under `target/quick-results/` with `--quick`, so a smoke run does
+/// not overwrite the committed default-scale record). Two comparisons:
 ///
 /// 1. **private vs W=1 shard** — the same deterministic script on a
 ///    private `SimHeap` and on the single shard of a one-worker shared

@@ -5,9 +5,9 @@
 //! address space: every request creates a region, allocates into it
 //! and deletes it. The run interleaves injected allocation faults
 //! (bounded deterministic retry with linear backoff), injected worker
-//! panics (each strands a reference in the parallel pool, which
-//! quarantines and reaps it while the fleet keeps serving), and
-//! footprint watermarks (degrade, then shed with a typed
+//! panics (each strands a half-served request region in its session's
+//! runtime, which the batch's retry reclaims while the fleet keeps
+//! serving), and footprint watermarks (degrade, then shed with a typed
 //! `Overloaded` error — never a panic).
 //!
 //! The books — conserved ledger, per-session ledgers, digest,
@@ -18,10 +18,9 @@
 //! latency are reported alongside but never folded into the books.
 //!
 //! Writes a schema-v3 results envelope with the tail-latency columns
-//! to `results/server.json` (`target/quick-results/` under `--quick`),
-//! plus the richer `BENCH_server.json` record (`BENCH_SERVER_OUT`
-//! redirects, so CI's quick smoke does not clobber the committed
-//! default-scale record).
+//! plus the richer `BENCH_server.json` record, to `results/server.json`
+//! and the repo root. Under `--quick` both go to `target/quick-results/`,
+//! so a smoke run never overwrites the committed default-scale records.
 
 use bench_harness::runner::{write_bench_record, write_results_json};
 use bench_harness::{install_service_panic_filter, run_service, Measurement, ServiceConfig, ServiceReport};

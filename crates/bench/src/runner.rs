@@ -431,26 +431,24 @@ fn run_matrix_checked_seeded(
 /// reruns are comparable with single-core baselines.
 pub const RESULTS_SCHEMA_VERSION: u64 = 3;
 
-/// Where results documents are written: `results/` for a full-scale run,
-/// `target/quick-results/` for a `--quick` smoke run, so a smoke pass
-/// never overwrites the committed full-scale records.
-fn results_dir() -> std::path::PathBuf {
-    if std::env::args().any(|a| a == "--quick") {
-        std::path::Path::new("target").join("quick-results")
-    } else {
-        std::path::PathBuf::from("results")
-    }
+/// Where a `--quick` smoke run writes its results documents and
+/// `BENCH_*.json` records: `target/quick-results/`, so a smoke pass
+/// never overwrites the committed full-scale ones. `None` otherwise.
+fn quick_dir() -> Option<std::path::PathBuf> {
+    let quick = std::env::args().any(|a| a == "--quick");
+    quick.then(|| std::path::Path::new("target").join("quick-results"))
 }
 
-/// Writes [`results_json`] to `<results_dir()>/<name>.json` (creating
-/// the directory), returning the path.
+/// Writes [`results_json`] to `results/<name>.json`, or under
+/// [`quick_dir`] with `--quick` (creating the directory), returning the
+/// path.
 pub fn write_results_json(
     name: &str,
     rows: &[Measurement],
     par_workers: Option<usize>,
     extra: &[(&str, &[f64])],
 ) -> std::io::Result<std::path::PathBuf> {
-    let dir = results_dir();
+    let dir = quick_dir().unwrap_or_else(|| "results".into());
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, results_json(name, rows, par_workers, extra))?;
@@ -570,9 +568,10 @@ pub fn today_utc() -> String {
 
 /// Writes a `BENCH_<name>.json` record: an object of `comment`, today's
 /// `date`, the `host`, then `body` (more members, each line after the
-/// first indented by its caller). `BENCH_<NAME>_OUT` redirects the file,
-/// so a `--quick` smoke run does not clobber the committed record. Exits
-/// with status 1 if the file cannot be written.
+/// first indented by its caller). The file goes to the repo root, or to
+/// `target/quick-results/` under `--quick`, so a smoke run never
+/// overwrites the committed record. Exits with status 1 if the file
+/// cannot be written.
 pub fn write_bench_record(name: &str, comment: &str, body: &str) {
     let json = format!(
         "{{\n  \"comment\": \"{comment}\",\n  \"date\": \"{}\",\n  \
@@ -581,12 +580,12 @@ pub fn write_bench_record(name: &str, comment: &str, body: &str) {
         host_cores(),
         std::env::consts::OS,
     );
-    let out = std::env::var(format!("BENCH_{}_OUT", name.to_uppercase()))
-        .unwrap_or_else(|_| format!("BENCH_{name}.json"));
-    match std::fs::write(&out, json) {
-        Ok(()) => println!("\nwrote {out}"),
+    let dir = quick_dir().unwrap_or_default();
+    let out = dir.join(format!("BENCH_{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&out, json)) {
+        Ok(()) => println!("\nwrote {}", out.display()),
         Err(e) => {
-            eprintln!("failed to write {out}: {e}");
+            eprintln!("failed to write {}: {e}", out.display());
             std::process::exit(1);
         }
     }

@@ -25,12 +25,12 @@
 //!   a *degraded* (shrunk) allocation plan, at or above hard it is shed
 //!   with the typed [`RegionError::Overloaded`] — never a panic;
 //! * **session isolation** — an injected worker panic strands a
-//!   [`region_core::par::ParRegionPool`] reference that quarantines only
-//!   *that session's* pool region;
-//!   [`region_core::par::ParRegionPool::reap_orphans`] reclaims it at
-//!   the next round barrier while every other session keeps serving.
-//!   The pool books nothing else: a request that does not crash lives in
-//!   its runtime region alone.
+//!   half-served request region in *that session's* runtime (its
+//!   `in_flight` slot); the supervisor's retry of the batch deletes it
+//!   before resuming, while every other session keeps serving. Each
+//!   request, crashed or not, is booked in one runtime region, and
+//!   each round barrier asserts that every injected panic stranded one
+//!   region and that the retry reclaimed it.
 //!
 //! # Determinism
 //!
@@ -44,20 +44,16 @@
 //! * the *global* footprint is read only at round barriers, on the
 //!   coordinator thread; within a round each session sees
 //!   `round base + its own growth`, a schedule-independent quantity;
-//! * pool region **identities** are assigned under a global lock and
-//!   therefore schedule-dependent — no `ParRegionId` is ever folded
-//!   into the digest or branched on, only *counts* of quarantine and
-//!   reap events;
+//! * crash residue is folded only as *counts* of stranded and
+//!   reclaimed regions, summed over the sessions at each barrier;
 //! * wall-clock latencies are measured and reported but excluded from
 //!   the digest and the encoded books.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use region_core::par::{ParRegionPool, ParThread};
 use region_core::{
-    AdmissionController, ParRegionError, RegionConfig, RegionError, RegionId, RegionRuntime,
-    Watermarks,
+    AdmissionController, RegionConfig, RegionError, RegionId, RegionRuntime, Watermarks,
 };
 use simheap::{Addr, HeapShard, SharedSpace, SpaceConfig};
 
@@ -106,7 +102,7 @@ pub struct ServiceConfig {
     pub fault_one_in: u64,
     /// Per-request panic dice (0 disables): a request that rolls a
     /// panic crashes its worker on the batch's first attempt, stranding
-    /// a pool reference for the quarantine/reap path.
+    /// a half-served request region for the retry to reclaim.
     pub panic_one_in: u64,
     /// Size of the shared address space.
     pub space_max_bytes: u64,
@@ -262,16 +258,18 @@ pub struct ServiceReport {
     /// tests compare these directly.
     pub per_session: Vec<Ledger>,
     /// FNV fold of the whole observable history (admission verdicts,
-    /// error codes, allocation addresses, quarantine/reap counts).
+    /// error codes, allocation addresses, stranded/reclaimed counts).
     pub digest: u64,
     /// Largest admission-input footprint any request observed, in
     /// simulated OS pages.
     pub high_water_pages: u64,
     /// Final summed footprint of all session shards, in pages.
     pub final_pages: u64,
-    /// Pool regions quarantined by stranded panic references.
+    /// Request regions an injected panic left half-served in its
+    /// session's runtime (one per panic).
     pub quarantined: u64,
-    /// Quarantined regions reclaimed by the reaper.
+    /// Stranded regions the supervisor's retry deleted before resuming
+    /// its batch.
     pub reaped: u64,
     /// Sanitizer passes run at round barriers (0 unless
     /// [`ServiceConfig::sanitize_rounds`]).
@@ -440,9 +438,9 @@ struct SessionSlot {
     /// Request region left half-served by a crashed attempt; the retry
     /// deletes it before resuming.
     in_flight: Option<RegionId>,
-    /// Pool regions this session's crashes stranded references to;
-    /// drained (quarantined + reaped) at the round barrier.
-    poisoned: Vec<region_core::par::ParRegionId>,
+    /// Regions a crash left in `in_flight`, and those the retry deleted.
+    stranded: u64,
+    reclaimed: u64,
     /// Long-lived cache region driving the footprint staircase.
     cache: Option<RegionId>,
     /// Rotating pointer-bearing index region: entries allocated per
@@ -486,7 +484,6 @@ enum Served {
 /// post-panic replay of the same request is bit-identical.
 fn serve_one(
     slot: &mut SessionSlot,
-    t: &mut ParThread,
     cfg: ServiceConfig,
     base_pages: u64,
     session: u32,
@@ -515,15 +512,12 @@ fn serve_one(
     // Injected worker crash: only on the batch's first attempt
     // (supervise passes attempt 0 on the first try), so the
     // supervisor's single retry deterministically resolves the request.
-    // Strand a pool reference (quarantines this session's pool region)
-    // and leave a half-served request region for the retry to clean up.
+    // Leave a half-served request region for the retry to clean up.
     if cfg.panic_one_in > 0 && attempt == 0 && rng.below(cfg.panic_one_in) == 0 {
-        let pr = t.create_region();
-        t.retain(pr); // the reference dies with the worker -> orphaned
-        slot.poisoned.push(pr);
         if let Ok(r) = slot.rt.try_new_region() {
             let _ = slot.rt.try_rstralloc(r, 64);
             slot.in_flight = Some(r);
+            slot.stranded += 1;
         }
         slot.ledger.panics += 1;
         slot.digest = fold(slot.digest, 0xdead);
@@ -696,14 +690,14 @@ fn drain_delete(slot: &mut SessionSlot, r: RegionId) {
 
 /// Runs the full service and returns its report. Panics (failing the
 /// harness) if any internal invariant breaks: an escaped worker panic,
-/// a dirty pool audit, a non-conserving ledger at a round barrier, or a
-/// dirty sanitize pass when [`ServiceConfig::sanitize_rounds`] is on.
+/// crash residue that was not stranded and reclaimed once per panic, a
+/// non-conserving ledger at a round barrier, or a dirty sanitize pass
+/// when [`ServiceConfig::sanitize_rounds`] is on.
 pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
     let cfg = *cfg;
     assert!(cfg.sessions >= 1 && cfg.sessions <= 255, "sessions must be 1..=255");
     let started = Instant::now();
     let space = SharedSpace::new(SpaceConfig { max_bytes: cfg.space_max_bytes, workers: cfg.sessions });
-    let pool = ParRegionPool::new();
 
     let slots: Vec<Arc<Mutex<SessionSlot>>> = (0..cfg.sessions)
         .map(|s| {
@@ -725,7 +719,8 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                 digest: fold(FNV_OFFSET, u64::from(s)),
                 next_req: 0,
                 in_flight: None,
-                poisoned: Vec::new(),
+                stranded: 0,
+                reclaimed: 0,
                 cache: None,
                 index: None,
                 index_desc,
@@ -741,8 +736,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
 
     let chunk = cfg.requests_per_session.div_ceil(cfg.rounds.max(1));
     let mut digest = FNV_OFFSET;
-    let mut quarantined = 0u64;
-    let mut reaped = 0u64;
+    let (mut quarantined, mut reaped) = (0u64, 0u64);
     let mut sanitize_runs = 0u64;
     let mut high_water = 0u64;
     let mut panics_seen = 0u64;
@@ -764,10 +758,8 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
             .enumerate()
             .map(|(si, slot)| {
                 let slot = Arc::clone(slot);
-                let pool = pool.clone();
                 let session = si as u32;
                 let job = move |attempt: u32| {
-                    let mut t = pool.register_thread();
                     let mut panic_now = false;
                     {
                         let mut s = lock(&slot);
@@ -776,8 +768,9 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                         // the cursor — the crashed request replays.
                         if attempt > 0 {
                             if let Some(r) = s.in_flight.take() {
-                                let del = s.rt.try_delete_region(r);
-                                debug_assert!(del.is_ok(), "crash residue delete blocked");
+                                if s.rt.try_delete_region(r).is_ok() {
+                                    s.reclaimed += 1;
+                                }
                             }
                             s.ledger.retries += 1;
                         }
@@ -806,7 +799,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                                     queued = now - due;
                                 }
                             }
-                            match serve_one(&mut s, &mut t, cfg, base, session, req, attempt) {
+                            match serve_one(&mut s, cfg, base, session, req, attempt) {
                                 Served::Done => {
                                     if cfg.open_loop_period_ns > 0 {
                                         s.queue_ns.push(queued);
@@ -838,7 +831,6 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                 deadline: cfg.deadline,
                 max_attempts: 2,
                 backoff: cfg.backoff,
-                retry_timeouts: true,
             },
         );
 
@@ -857,27 +849,17 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
             }
             round_panics += u64::from(rep.attempts - 1);
         }
-        let slot_panics: u64 = slots
-            .iter()
-            .map(|s| {
-                let s = lock(s);
-                s.ledger.panics
-            })
-            .sum();
 
-        // Round barrier verification: quarantine + reap the poisoned
-        // pool regions, audit the pool, check ledger conservation, and
-        // optionally sanitize every session heap.
+        // Round barrier verification: every injected panic stranded one
+        // request region and its retry reclaimed it, the ledger
+        // conserves, and optionally every session heap sanitizes clean.
         let mut round_fleet = Ledger::default();
+        (quarantined, reaped) = (0, 0);
         for slot in &slots {
-            let mut s = lock(slot);
-            debug_assert!(s.in_flight.is_none(), "in-flight residue survived the round");
-            for pr in std::mem::take(&mut s.poisoned) {
-                match pool.try_delete_checked(pr) {
-                    Err(ParRegionError::BlockedByOrphans { .. }) => quarantined += 1,
-                    other => panic!("stranded region was not orphan-blocked: {other:?}"),
-                }
-            }
+            let s = lock(slot);
+            assert!(s.in_flight.is_none(), "crash residue survived round {round}");
+            quarantined += s.stranded;
+            reaped += s.reclaimed;
             round_fleet.add(&s.ledger);
             if cfg.sanitize_rounds {
                 let rep = s.rt.sanitize();
@@ -889,22 +871,14 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         }
         assert_eq!(
             round_panics,
-            slot_panics - panics_seen,
+            round_fleet.panics - panics_seen,
             "supervisor retry count diverged from injected panic count"
         );
-        panics_seen = slot_panics;
-        if !pool.quarantined().is_empty() {
-            let rep = pool.reap_orphans();
-            assert!(rep.is_fully_reclaimed(), "reap left regions blocked: {rep}");
-            reaped += rep.reaped.len() as u64 + rep.settled.len() as u64;
-        }
-        // The pool books only what crashes stranded: one region per
-        // injected panic, so a row from any other path fails here.
-        let audit = pool.audit();
-        assert!(audit.is_clean(), "pool audit dirty after round {round}: {audit}");
-        assert_eq!(
-            audit.regions_audited, panics_seen,
-            "pool holds regions no crash stranded after round {round}: {audit}"
+        panics_seen = round_fleet.panics;
+        assert!(
+            quarantined == panics_seen && reaped == panics_seen,
+            "after round {round}: {quarantined} stranded and {reaped} reclaimed \
+             for {panics_seen} injected panics"
         );
         assert!(
             round_fleet.conserves(),
@@ -1019,8 +993,8 @@ mod tests {
         assert!(a.ledger.conserves());
         assert!(a.ledger.panics > 0, "panic path never exercised");
         assert!(a.ledger.faults > 0, "fault path never exercised");
-        assert_eq!(a.quarantined, a.ledger.panics, "every panic quarantines one region");
-        assert_eq!(a.quarantined, a.reaped, "every quarantined region was reaped");
+        assert_eq!(a.quarantined, a.ledger.panics, "every panic strands one region");
+        assert_eq!(a.quarantined, a.reaped, "every stranded region was reclaimed");
     }
 
     #[test]
@@ -1032,6 +1006,16 @@ mod tests {
             let r = run_service(&cfg);
             assert_eq!(base.encode_books(), r.encode_books(), "threads={threads} diverged");
         }
+        // Every batch's first served request crashes once: one stranded
+        // and one reclaimed region per session per round, whichever
+        // thread ran the batch.
+        let crashy = ServiceConfig { panic_one_in: 1, ..tiny(7) };
+        let one = run_service(&crashy);
+        let two = run_service(&ServiceConfig { threads: 2, ..crashy });
+        assert_eq!(one.encode_books(), two.encode_books(), "crash-every-batch run diverged");
+        let batches = u64::from(crashy.sessions * crashy.rounds);
+        assert_eq!(two.ledger.panics, batches);
+        assert_eq!((two.quarantined, two.reaped), (batches, batches));
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! that overruns costs a thread: its worker is abandoned and one
 //! replacement spawned.
 //!
-//! The chaos harness (`chaos --scenario par-chaos`) uses this to drive
-//! `ParRegionPool` workers that are *expected* to crash: supervision
-//! guarantees the faults are contained and reported, and the retry path
-//! exercises re-registration against a pool carrying orphaned counts.
+//! Its callers run jobs that may crash: the region service (one job
+//! per session batch; the retry reclaims the region a crash stranded),
+//! `chaos --scenario par-chaos` (the retry re-registers against a
+//! `ParRegionPool` carrying orphaned counts), and the generated programs
+//! of `vm-chaos` and `cq_bench`. Only panics are retried: a timed-out
+//! attempt may still be running and holding what the job needs (the
+//! service's session lock), so a deadline miss is terminal.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -43,10 +46,6 @@ pub struct SuperviseConfig {
     /// Base of the deterministic linear backoff: attempt `n` (1-based
     /// retry) is preceded by a sleep of `backoff * n`.
     pub backoff: Duration,
-    /// Whether a timed-out attempt is retried like a panicked one.
-    /// Defaults to `false`: a deadline miss usually means the job is
-    /// stuck, and rerunning it leaks one more worker thread.
-    pub retry_timeouts: bool,
 }
 
 impl Default for SuperviseConfig {
@@ -56,7 +55,6 @@ impl Default for SuperviseConfig {
             deadline: None,
             max_attempts: 1,
             backoff: Duration::from_millis(1),
-            retry_timeouts: false,
         }
     }
 }
@@ -133,47 +131,41 @@ struct Crew<F> {
 }
 
 impl<F> Crew<F> {
-    /// Starts a detached worker that first resumes `job` at `attempt`
-    /// (a replacement for an abandoned worker), if given, and then
-    /// drains the queue. Detached, not scoped: a scope would join — and
-    /// hang on — a worker stuck in a job.
-    fn spawn<T>(self: &Arc<Self>, resume: Option<(usize, u32)>, tx: &Sender<Event<T>>)
+    /// Starts a detached worker that drains the queue. Detached, not
+    /// scoped: a scope would join — and hang on — a worker stuck in a
+    /// job.
+    fn spawn<T>(self: &Arc<Self>, tx: &Sender<Event<T>>)
     where
         F: Fn(u32) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         let (crew, tx) = (Arc::clone(self), tx.clone());
-        std::thread::spawn(move || crew.work(resume, &tx));
+        std::thread::spawn(move || crew.work(&tx));
     }
 
     /// The worker loop. Returns when the queue is empty or when the
     /// watchdog abandoned this worker's attempt.
-    fn work<T>(&self, mut resume: Option<(usize, u32)>, tx: &Sender<Event<T>>)
+    fn work<T>(&self, tx: &Sender<Event<T>>)
     where
         F: Fn(u32) -> T,
     {
         loop {
-            let (job, attempt) = match resume.take() {
-                Some(r) => r,
-                None => match self.next.fetch_add(1, Ordering::Relaxed) {
-                    i if i < self.jobs.len() => (i, 0),
-                    _ => return,
-                },
-            };
-            if !self.run_job(job, attempt, tx) {
+            let job = self.next.fetch_add(1, Ordering::Relaxed);
+            if job >= self.jobs.len() || !self.run_job(job, tx) {
                 return;
             }
         }
     }
 
-    /// Runs attempts of `job` from `attempt` on, inline under
-    /// `catch_unwind`, retrying panics with backoff until one is
-    /// terminal. `false` if the watchdog abandoned an attempt.
-    fn run_job<T>(&self, job: usize, mut attempt: u32, tx: &Sender<Event<T>>) -> bool
+    /// Runs the attempts of `job` inline under `catch_unwind`, retrying
+    /// panics with backoff until one is terminal. `false` if the
+    /// watchdog abandoned an attempt.
+    fn run_job<T>(&self, job: usize, tx: &Sender<Event<T>>) -> bool
     where
         F: Fn(u32) -> T,
     {
         let max_attempts = self.cfg.max_attempts.max(1);
+        let mut attempt = 0;
         loop {
             if attempt > 0 {
                 // Deterministic linear backoff before each retry.
@@ -215,8 +207,8 @@ impl<F> Crew<F> {
 /// and, under a deadline, waits no longer than the deadline of the
 /// oldest attempt still running. An attempt that overruns is abandoned
 /// together with its worker (the thread leaks rather than wedging
-/// supervision), and one replacement worker is spawned — it retries the
-/// job first when [`SuperviseConfig::retry_timeouts`] allows. A call
+/// supervision); the job is reported [`JobOutcome::TimedOut`] and one
+/// replacement worker is spawned for the rest of the queue. A call
 /// therefore spawns `workers` threads plus one per abandoned attempt.
 /// With one worker and no deadline the jobs run on the calling thread.
 pub fn supervise<T, F>(jobs: Vec<F>, cfg: &SuperviseConfig) -> Vec<WorkerReport<T>>
@@ -230,13 +222,12 @@ where
     let (tx, rx) = mpsc::channel();
     if workers <= 1 && cfg.deadline.is_none() {
         // Inline: no worker threads on a serial machine.
-        crew.work(None, &tx);
+        crew.work(&tx);
     } else {
         for _ in 0..workers {
-            crew.spawn(None, &tx);
+            crew.spawn(&tx);
         }
     }
-    let max_attempts = cfg.max_attempts.max(1);
     let mut reports: Vec<Option<WorkerReport<T>>> = (0..n).map(|_| None).collect();
     // Per job: the attempt running now, when it began, and its claim.
     let mut running: Vec<Option<(u32, Instant, Arc<AtomicBool>)>> = (0..n).map(|_| None).collect();
@@ -270,16 +261,10 @@ where
                 if claim.swap(true, Ordering::AcqRel) {
                     continue; // returned just in time: its End is on the way
                 }
-                let d = cfg.deadline.expect("only a deadline times out");
-                let attempts = attempt + 1;
-                if cfg.retry_timeouts && attempts < max_attempts {
-                    crew.spawn(Some((job, attempts)), &tx);
-                } else {
-                    let outcome = JobOutcome::TimedOut(d);
-                    reports[job] = Some(WorkerReport { job, attempts, outcome });
-                    left -= 1;
-                    crew.spawn(None, &tx);
-                }
+                let outcome = JobOutcome::TimedOut(cfg.deadline.expect("only a deadline times out"));
+                reports[job] = Some(WorkerReport { job, attempts: attempt + 1, outcome });
+                left -= 1;
+                crew.spawn(&tx);
             }
         }
     }
@@ -361,11 +346,12 @@ mod tests {
         let cfg = SuperviseConfig {
             workers: 2,
             deadline: Some(Duration::from_millis(50)),
+            max_attempts: 2,
             ..SuperviseConfig::default()
         };
         let reports = supervise(jobs, &cfg);
         assert_eq!(reports[0].outcome, JobOutcome::TimedOut(Duration::from_millis(50)));
-        assert_eq!(reports[0].attempts, 1, "timeouts are not retried by default");
+        assert_eq!(reports[0].attempts, 1, "a timeout is terminal even with retries left");
         assert_eq!(reports[1].outcome, JobOutcome::Completed(7));
     }
 
@@ -389,7 +375,6 @@ mod tests {
                 deadline,
                 max_attempts: 2,
                 backoff: Duration::ZERO,
-                ..SuperviseConfig::default()
             };
             let reports = supervise(jobs, &cfg);
             let mut ids = std::collections::HashSet::new();
@@ -399,25 +384,6 @@ mod tests {
             }
             assert!(ids.len() <= 2, "{} threads ran the attempts ({deadline:?})", ids.len());
         }
-    }
-
-    #[test]
-    fn timed_out_attempt_is_retried_on_a_replacement_worker() {
-        let jobs = boxed(vec![Box::new(|attempt| {
-            if attempt == 0 {
-                std::thread::sleep(Duration::from_secs(30));
-            }
-            attempt
-        })]);
-        let cfg = SuperviseConfig {
-            deadline: Some(Duration::from_millis(50)),
-            max_attempts: 2,
-            retry_timeouts: true,
-            ..SuperviseConfig::default()
-        };
-        let reports = supervise(jobs, &cfg);
-        assert_eq!(reports[0].attempts, 2);
-        assert_eq!(reports[0].outcome, JobOutcome::Completed(1));
     }
 
     #[test]

@@ -65,8 +65,8 @@ fn thread_count_is_invisible_in_the_books() {
 /// Session isolation: with admission decoupled (unbounded watermarks,
 /// so no session sees another through the footprint), a session's
 /// ledger depends only on `(seed, session)` — adding more sessions to
-/// the fleet, including sessions that panic and get their regions
-/// quarantined and reaped, must not perturb the ledgers of the
+/// the fleet, including sessions that panic and strand request regions
+/// for their retries to reclaim, must not perturb the ledgers of the
 /// sessions that were already there.
 #[test]
 fn quarantined_sessions_do_not_perturb_their_neighbours() {
@@ -77,8 +77,8 @@ fn quarantined_sessions_do_not_perturb_their_neighbours() {
     let small = run_service(&ServiceConfig { sessions: 2, ..cfg });
     let large = run_service(&ServiceConfig { sessions: 6, ..cfg });
     assert!(large.ledger.panics > 0, "the large fleet must crash somewhere");
-    assert!(large.quarantined > 0, "a crash must quarantine its regions");
-    assert_eq!(large.quarantined, large.reaped, "every quarantined region reaped");
+    assert_eq!(large.quarantined, large.ledger.panics, "every crash strands one region");
+    assert_eq!(large.quarantined, large.reaped, "every stranded region reclaimed");
     for s in 0..2 {
         assert_eq!(
             small.per_session[s], large.per_session[s],

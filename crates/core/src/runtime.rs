@@ -661,11 +661,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
         matches!(self.regions[r.0 as usize].liveness, Liveness::Parked(_))
     }
 
-    /// Region indices currently parked mid-deletion, in index order.
-    pub fn parked_regions(&self) -> Vec<RegionId> {
-        (0..self.regions.len() as u32).map(RegionId).filter(|&r| self.is_parked(r)).collect()
-    }
-
     /// The incremental-deletion work budget
     /// (see [`RegionRuntime::set_delete_budget`]).
     pub fn delete_budget(&self) -> u64 {
