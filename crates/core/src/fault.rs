@@ -182,8 +182,19 @@ impl FaultPlan {
 
     /// Called by the runtime before each allocation. Returns the 1-based
     /// ordinal if this allocation must fail.
+    #[inline]
     pub(crate) fn check_alloc(&mut self) -> Option<u64> {
         self.allocs_seen += 1;
+        if self.every_mth_alloc.is_none() && self.alloc_one_in.is_none() {
+            return None;
+        }
+        self.check_alloc_armed()
+    }
+
+    /// [`FaultPlan::check_alloc`] under a plan that injects allocation
+    /// faults, out of line so a plan without them costs one test.
+    #[inline(never)]
+    fn check_alloc_armed(&mut self) -> Option<u64> {
         let mth = self.every_mth_alloc.is_some_and(|m| self.allocs_seen % m == 0);
         let dice = self.alloc_one_in.is_some_and(|n| {
             // Consume one random draw per attempt so the stream is a pure

@@ -191,6 +191,24 @@ pub(crate) struct Frame {
     pub(crate) n_slots: u32,
 }
 
+/// What `regionof` learns about one address: its page-map cell (the
+/// owner's index plus one, 0 = no owner) and the simulated loads reading
+/// that cell costs (0 for null or a page whose map chunk does not exist).
+#[derive(Clone, Copy)]
+struct PageClass {
+    cell: u32,
+    loads: u64,
+}
+
+impl PageClass {
+    const NONE: PageClass = PageClass { cell: 0, loads: 0 };
+
+    #[inline]
+    fn region(self) -> Option<RegionId> {
+        self.cell.checked_sub(1).map(RegionId)
+    }
+}
+
 const ARRAY_FLAG: u32 = 0x8000_0000;
 /// Pages of address space covered by one page-map chunk.
 const CHUNK_COVER: u32 = 1024;
@@ -544,24 +562,77 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// so cache traces see the real page-map access pattern; untraced, the
     /// host mirror answers and the load is charged to the counters, so
     /// totals are identical either way.
+    #[inline]
     pub fn region_of(&mut self, addr: Addr) -> Option<RegionId> {
+        self.locate(addr).region()
+    }
+
+    /// [`RegionRuntime::region_of`] as a page-map class, charging the
+    /// load it stands for.
+    #[inline]
+    fn locate(&mut self, addr: Addr) -> PageClass {
+        if self.heap.is_tracing() {
+            return self.locate_traced(addr);
+        }
+        let class = self.classify(addr);
+        self.heap.charge_loads(class.loads);
+        class
+    }
+
+    /// [`RegionRuntime::locate`] for a value stored at `loc`, whose class
+    /// `at_loc` the barrier has already charged. Untraced, a value on a
+    /// region page `loc` shares needs no second mirror read: it has the
+    /// same class and is charged the same load.
+    #[inline]
+    fn locate_near(&mut self, addr: Addr, loc: Addr, at_loc: PageClass) -> PageClass {
+        if at_loc.cell != 0 && addr.page_index() == loc.page_index() && !self.heap.is_tracing() {
+            self.heap.charge_loads(at_loc.loads);
+            return at_loc;
+        }
+        self.locate(addr)
+    }
+
+    /// The traced `regionof`: the map entry is loaded from the in-heap
+    /// chunk, so the sink sees it.
+    #[cold]
+    #[inline(never)]
+    fn locate_traced(&mut self, addr: Addr) -> PageClass {
         if addr.is_null() {
-            return None;
+            return PageClass::NONE;
         }
         let page_index = addr.page_index();
-        let chunk = *self.map_root.get((page_index / CHUNK_COVER) as usize)?;
-        let chunk = chunk?;
-        let entry = if self.heap.is_tracing() {
-            self.heap.load_u32(chunk + (page_index % CHUNK_COVER) * WORD)
-        } else {
-            self.heap.charge_loads(1);
-            self.map_mirror.get(page_index as usize).copied().unwrap_or(0)
-        };
-        if entry == 0 {
-            None
-        } else {
-            Some(RegionId(entry - 1))
+        match self.map_root.get((page_index / CHUNK_COVER) as usize) {
+            Some(&Some(chunk)) => {
+                let cell = self.heap.load_u32(chunk + (page_index % CHUNK_COVER) * WORD);
+                PageClass { cell, loads: 1 }
+            }
+            _ => PageClass::NONE,
         }
+    }
+
+    /// `addr`'s page-map class from the host mirror, uncounted and
+    /// untraced. A nonzero cell proves its page-map chunk exists, so
+    /// only an ownerless page looks at the chunk root.
+    #[inline]
+    fn classify(&self, addr: Addr) -> PageClass {
+        if addr.is_null() {
+            return PageClass::NONE;
+        }
+        match self.map_mirror.get(addr.page_index() as usize) {
+            Some(&cell) if cell != 0 => PageClass { cell, loads: 1 },
+            _ => self.classify_ownerless(addr),
+        }
+    }
+
+    /// [`RegionRuntime::classify`] for a non-null address on a page no
+    /// region owns: reading its map entry costs a load only when its
+    /// chunk exists.
+    #[cold]
+    #[inline(never)]
+    fn classify_ownerless(&self, addr: Addr) -> PageClass {
+        let root = (addr.page_index() / CHUNK_COVER) as usize;
+        let mapped = matches!(self.map_root.get(root), Some(Some(_)));
+        PageClass { cell: 0, loads: u64::from(mapped) }
     }
 
     /// Host-side view of the page-map mirror, indexed by absolute page
@@ -691,44 +762,26 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// of region `r`; returns the start address. Fails without side
     /// effects on a dead region, an oversized request, or a page
     /// acquisition failure.
+    ///
+    /// "If the allocation fits on the first page just return
+    /// firstpage+allocfrom and increment allocfrom, if not allocate a new
+    /// page and try again." (§4.1) The fit is the one test made inline;
+    /// the refill and every error are in [`RegionRuntime::bump_refill`].
+    #[inline(always)]
     fn try_bump(&mut self, r: RegionId, total: u32, string: bool) -> Result<Addr, RegionError> {
         debug_assert_eq!(total % WORD, 0);
-        match self.regions[r.0 as usize].liveness {
-            Liveness::Live => {}
-            Liveness::Parked(_) => return Err(RegionError::RegionDoomed { region: r }),
-            Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
-        }
-        if total > PAGE_SIZE {
-            return Err(RegionError::ObjectTooLarge { bytes: total });
-        }
-        fn state_of(info: &mut RegionInfo, string: bool) -> &mut BumpState {
-            if string {
-                &mut info.string
-            } else {
-                &mut info.normal
+        let info = &mut self.regions[r.0 as usize];
+        let live = matches!(info.liveness, Liveness::Live);
+        let s = if string { &mut info.string } else { &mut info.normal };
+        // `total <= PAGE_SIZE` is tested first, so the sum cannot wrap.
+        let (page, offset) = match s.current_page() {
+            Some(p) if live && total <= PAGE_SIZE && s.alloc_from + total <= PAGE_SIZE => {
+                let off = s.alloc_from;
+                s.alloc_from += total;
+                (p, off)
             }
-        }
-        // "If the allocation fits on the first page just return
-        //  firstpage+allocfrom and increment allocfrom, if not allocate a
-        //  new page and try again." (§4.1)
-        let (page, offset) = {
-            let s = state_of(&mut self.regions[r.0 as usize], string);
-            match s.current_page() {
-                Some(p) if s.alloc_from + total <= PAGE_SIZE => {
-                    let off = s.alloc_from;
-                    s.alloc_from += total;
-                    (p, off)
-                }
-                _ => {
-                    let p = self.try_acquire_page(Some(r))?;
-                    let s = state_of(&mut self.regions[r.0 as usize], string);
-                    s.pages.push((p, 0));
-                    s.alloc_from = total;
-                    (p, 0)
-                }
-            }
+            _ => self.bump_refill(r, total, string)?,
         };
-        let addr = page + offset;
         // Maintain the end-of-page marker for the cleanup scan: the word
         // after the last object must read as a null cleanup (Figure 7).
         if self.is_safe() && !string {
@@ -737,9 +790,37 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 self.heap.store_u32(page + next, 0);
             }
         }
-        Ok(addr)
+        Ok(page + offset)
     }
 
+    /// The slow path of [`RegionRuntime::try_bump`]: a region that is not
+    /// live, a request larger than a page, or a full (or missing) page,
+    /// which a fresh one replaces. Returns the page and offset allocated.
+    #[cold]
+    #[inline(never)]
+    fn bump_refill(
+        &mut self,
+        r: RegionId,
+        total: u32,
+        string: bool,
+    ) -> Result<(Addr, u32), RegionError> {
+        match self.regions[r.0 as usize].liveness {
+            Liveness::Live => {}
+            Liveness::Parked(_) => return Err(RegionError::RegionDoomed { region: r }),
+            Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
+        }
+        if total > PAGE_SIZE {
+            return Err(RegionError::ObjectTooLarge { bytes: total });
+        }
+        let p = self.try_acquire_page(Some(r))?;
+        let info = &mut self.regions[r.0 as usize];
+        let s = if string { &mut info.string } else { &mut info.normal };
+        s.pages.push((p, 0));
+        s.alloc_from = total;
+        Ok((p, 0))
+    }
+
+    #[inline]
     fn account_alloc(&mut self, r: RegionId, requested: u32) {
         let rounded = self.stats.on_alloc(requested);
         let info = &mut self.regions[r.0 as usize];
@@ -753,22 +834,23 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// The returned memory is cleared. In safe mode the object is preceded
     /// by a four-byte cleanup header. Fails without side effects on a
     /// deleted region, an oversized object, OOM, or an injected fault.
+    #[inline]
     pub fn try_ralloc(&mut self, r: RegionId, desc: DescId) -> Result<Addr, RegionError> {
         if let Some(count) = self.faults.check_alloc() {
             return Err(RegionError::FaultInjected { site: FaultSite::Allocation, count });
         }
         let size = self.descs.get(desc).size();
         if size > PAGE_SIZE {
+            std::hint::cold_path();
             return Err(RegionError::ObjectTooLarge { bytes: size });
         }
         let asize = align_up(size, WORD);
-        let data = if self.is_safe() {
-            let start = self.try_bump(r, WORD + asize, false)?;
+        let header = if self.is_safe() { WORD } else { 0 };
+        let start = self.try_bump(r, header + asize, false)?;
+        if self.is_safe() {
             self.heap.store_u32(start, desc.index() + 1);
-            start + WORD
-        } else {
-            self.try_bump(r, asize, false)?
-        };
+        }
+        let data = start + header;
         if self.config.clear_on_alloc {
             self.heap.fill(data, asize, 0);
         }
@@ -781,6 +863,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// # Panics
     ///
     /// Panics if the region was deleted or the object exceeds one page.
+    #[inline]
     pub fn ralloc(&mut self, r: RegionId, desc: DescId) -> Addr {
         self.try_ralloc(r, desc).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -834,15 +917,18 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// memory is **not** cleared and carries no bookkeeping. Fails without
     /// side effects on a deleted region, a zero or oversized request, OOM,
     /// or an injected fault.
+    #[inline]
     pub fn try_rstralloc(&mut self, r: RegionId, size: u32) -> Result<Addr, RegionError> {
         if let Some(count) = self.faults.check_alloc() {
             return Err(RegionError::FaultInjected { site: FaultSite::Allocation, count });
         }
-        if size == 0 {
-            return Err(RegionError::ZeroAlloc);
-        }
-        if size > PAGE_SIZE {
-            return Err(RegionError::ObjectTooLarge { bytes: size });
+        if size == 0 || size > PAGE_SIZE {
+            std::hint::cold_path();
+            return Err(if size == 0 {
+                RegionError::ZeroAlloc
+            } else {
+                RegionError::ObjectTooLarge { bytes: size }
+            });
         }
         let asize = align_up(size, WORD);
         let addr = self.try_bump(r, asize, true)?;
@@ -856,6 +942,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     ///
     /// Panics if the region was deleted, `size` is zero, or the block
     /// exceeds one page.
+    #[inline]
     pub fn rstralloc(&mut self, r: RegionId, size: u32) -> Addr {
         self.try_rstralloc(r, size).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -879,7 +966,19 @@ impl<H: HeapBackend> RegionRuntime<H> {
         )
     }
 
+    #[inline]
     pub(crate) fn inc_rc(&mut self, r: RegionId) {
+        let info = &mut self.regions[r.0 as usize];
+        if matches!(info.liveness, Liveness::Live) {
+            info.rc += 1;
+        } else {
+            self.inc_rc_slow(r);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn inc_rc_slow(&mut self, r: RegionId) {
         if !self.counts_maintained(r) {
             self.violations.push(RcViolation::IncOfDeleted { region: r });
             return;
@@ -887,7 +986,19 @@ impl<H: HeapBackend> RegionRuntime<H> {
         self.regions[r.0 as usize].rc += 1;
     }
 
+    #[inline]
     pub(crate) fn dec_rc(&mut self, r: RegionId) {
+        let info = &mut self.regions[r.0 as usize];
+        if matches!(info.liveness, Liveness::Live) && info.rc > 0 {
+            info.rc -= 1;
+        } else {
+            self.dec_rc_slow(r);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn dec_rc_slow(&mut self, r: RegionId) {
         if !self.counts_maintained(r) {
             self.violations.push(RcViolation::DecOfDeleted { region: r });
             return;
@@ -900,27 +1011,25 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
     }
 
-    /// Adjusts counts for replacing `old` with `new` at a location whose
-    /// own region is `loc_region` (`None` for global storage). This is the
-    /// body of both methods of paper Figure 5.
-    fn barrier_update(&mut self, loc_region: Option<RegionId>, old: Addr, new: Addr) {
+    /// Adjusts counts for replacing `old` with `new` at `loc`, whose class
+    /// `at_loc` names its own region (`PageClass::NONE` for global storage
+    /// and stack slots). This is the body of both methods of paper
+    /// Figure 5.
+    #[inline]
+    fn barrier_update(&mut self, loc: Addr, at_loc: PageClass, old: Addr, new: Addr) {
         // Overwriting a pointer with itself moves no counts; skip the
         // page-map lookups entirely.
         if old == new {
             return;
         }
-        let ro = self.region_of(old);
-        let rn = self.region_of(new);
+        let ro = self.locate_near(old, loc, at_loc).cell;
+        let rn = self.locate_near(new, loc, at_loc).cell;
         if ro != rn {
-            if ro != loc_region {
-                if let Some(s) = ro {
-                    self.dec_rc(s);
-                }
+            if ro != at_loc.cell && ro != 0 {
+                self.dec_rc(RegionId(ro - 1));
             }
-            if rn != loc_region {
-                if let Some(s) = rn {
-                    self.inc_rc(s);
-                }
+            if rn != at_loc.cell && rn != 0 {
+                self.inc_rc(RegionId(rn - 1));
             }
         }
     }
@@ -931,14 +1040,14 @@ impl<H: HeapBackend> RegionRuntime<H> {
     pub fn store_ptr_global(&mut self, loc: Addr, new: Addr) {
         if self.is_safe() {
             debug_assert!(
-                self.region_of(loc).is_none(),
+                self.region_of_peek(loc).is_none(),
                 "store_ptr_global to a location inside a region"
             );
             self.global_ptr_locs.insert(loc.raw());
             self.costs.barriers_global += 1;
             self.costs.barrier_instrs += GLOBAL_WRITE_INSTRS;
             let old = self.heap.load_addr(loc);
-            self.barrier_update(None, old, new);
+            self.barrier_update(loc, PageClass::NONE, old, new);
         }
         self.heap.store_addr(loc, new);
     }
@@ -946,14 +1055,15 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Stores region pointer `new` into a location inside a region,
     /// maintaining reference counts and exploiting *sameregion* pointers
     /// (paper Figure 5, "Region writes — 23 instructions").
+    #[inline]
     pub fn store_ptr_region(&mut self, loc: Addr, new: Addr) {
         if self.is_safe() {
-            let lr = self.region_of(loc);
-            debug_assert!(lr.is_some(), "store_ptr_region to a non-region location");
+            let at_loc = self.locate(loc);
+            debug_assert!(at_loc.cell != 0, "store_ptr_region to a non-region location");
             self.costs.barriers_region += 1;
             self.costs.barrier_instrs += REGION_WRITE_INSTRS;
             let old = self.heap.load_addr(loc);
-            self.barrier_update(lr, old, new);
+            self.barrier_update(loc, at_loc, old, new);
         }
         self.heap.store_addr(loc, new);
     }
@@ -975,7 +1085,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
             // `loc`'s region is a static fact the compiler already proved;
             // the uncounted mirror peek keeps the re-check from charging a
             // second classify on top of the value's.
-            let lr = self.region_of_peek(loc);
+            let at_loc = self.classify(loc);
+            let lr = at_loc.region();
             debug_assert!(lr.is_some(), "store_ptr_region_same to a non-region location");
             let vr = self.region_of(new);
             if vr.is_some() && vr != lr {
@@ -984,7 +1095,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 self.costs.barriers_region += 1;
                 self.costs.barrier_instrs += REGION_WRITE_INSTRS;
                 let old = self.heap.load_addr(loc);
-                self.barrier_update(lr, old, new);
+                self.barrier_update(loc, at_loc, old, new);
                 self.heap.store_addr(loc, new);
                 return;
             }
@@ -1015,7 +1126,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 self.costs.barriers_global += 1;
                 self.costs.barrier_instrs += GLOBAL_WRITE_INSTRS;
                 let old = self.heap.load_addr(loc);
-                self.barrier_update(None, old, new);
+                self.barrier_update(loc, PageClass::NONE, old, new);
                 self.heap.store_addr(loc, new);
                 return;
             }
@@ -1044,19 +1155,19 @@ impl<H: HeapBackend> RegionRuntime<H> {
             let slot = (loc - self.stack_base) / WORD;
             if self.slot_in_scanned_frame(slot) {
                 let old = self.heap.load_addr(loc);
-                self.barrier_update(None, old, new);
+                self.barrier_update(loc, PageClass::NONE, old, new);
             }
             self.heap.store_addr(loc, new);
             return;
         }
-        let lr = self.region_of(loc);
-        if lr.is_none() {
+        let at_loc = self.locate(loc);
+        if at_loc.cell == 0 {
             // Classified as global storage: remember the location so the
             // sanitizer can recompute the global rc contribution.
             self.global_ptr_locs.insert(loc.raw());
         }
         let old = self.heap.load_addr(loc);
-        self.barrier_update(lr, old, new);
+        self.barrier_update(loc, at_loc, old, new);
         self.heap.store_addr(loc, new);
     }
 
@@ -1289,18 +1400,15 @@ impl<H: HeapBackend> RegionRuntime<H> {
             let (released, next) = if hdr & ARRAY_FLAG == 0 {
                 let desc = DescId(hdr - 1);
                 let data = cur + WORD;
-                let (nptrs, _) = self.ptr_fields(desc);
-                for k in 0..nptrs {
-                    let off = self.descs.get(desc).ptr_offsets()[k];
-                    self.cleanup_release(r, data + off);
-                }
-                (nptrs as u64, data + align_up(self.descs.get(desc).size(), WORD))
+                let (nptrs, first, size) = self.object_shape(desc);
+                self.cleanup_fields(r, desc, data, nptrs, first);
+                (nptrs as u64, data + align_up(size, WORD))
             } else {
                 let desc = DescId((hdr & !ARRAY_FLAG) - 1);
                 let n = self.heap.load_u32(cur + WORD);
                 let stride = self.heap.load_u32(cur + 2 * WORD);
                 let data = cur + 3 * WORD;
-                let (nptrs, first) = self.ptr_fields(desc);
+                let (nptrs, first, _) = self.object_shape(desc);
                 // Single-pointer arrays whose fields are all still null
                 // (cleared on alloc, never linked) release nothing, so the
                 // walk is one strided bulk load — one Range record to a
@@ -1316,10 +1424,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     self.heap.load_u32_range(data + first, n, stride);
                 } else {
                     for i in 0..n {
-                        for k in 0..nptrs {
-                            let off = self.descs.get(desc).ptr_offsets()[k];
-                            self.cleanup_release(r, data + i * stride + off);
-                        }
+                        self.cleanup_fields(r, desc, data + i * stride, nptrs, first);
                     }
                 }
                 (u64::from(n) * nptrs as u64, data + n * stride)
@@ -1332,12 +1437,36 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
     }
 
-    /// How many pointer fields `desc` has, and the offset of the first
-    /// (0 if none). The cleanup walks index the offsets field by field
-    /// instead of copying them, since each release needs `&mut self`.
-    fn ptr_fields(&self, desc: DescId) -> (usize, u32) {
-        let offsets = self.descs.get(desc).ptr_offsets();
-        (offsets.len(), offsets.first().copied().unwrap_or(0))
+    /// How many pointer fields `desc` has, the offset of the first (0 if
+    /// none) and its size: one descriptor lookup per object walked.
+    #[inline]
+    fn object_shape(&self, desc: DescId) -> (usize, u32, u32) {
+        let d = self.descs.get(desc);
+        let offsets = d.ptr_offsets();
+        (offsets.len(), offsets.first().copied().unwrap_or(0), d.size())
+    }
+
+    /// Releases the `nptrs` pointer fields of the object of type `desc`
+    /// at `data`, the first at offset `first`. Each release needs
+    /// `&mut self`, so a field past the first indexes the descriptor's
+    /// offsets again; the common one-pointer object never does.
+    #[inline]
+    fn cleanup_fields(
+        &mut self,
+        dying: RegionId,
+        desc: DescId,
+        data: Addr,
+        nptrs: usize,
+        first: u32,
+    ) {
+        if nptrs == 0 {
+            return;
+        }
+        self.cleanup_release(dying, data + first);
+        for k in 1..nptrs {
+            let off = self.descs.get(desc).ptr_offsets()[k];
+            self.cleanup_release(dying, data + off);
+        }
     }
 
     /// `destroy(x->field)` of paper Figure 6: release the count a pointer
@@ -1360,13 +1489,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Uncounted, untraced `regionof` for the sanitizer: answers from the
     /// host mirror without touching the load counters or a trace sink.
     fn region_of_peek(&self, addr: Addr) -> Option<RegionId> {
-        if addr.is_null() {
-            return None;
-        }
-        match self.map_mirror.get(addr.page_index() as usize).copied().unwrap_or(0) {
-            0 => None,
-            entry => Some(RegionId(entry - 1)),
-        }
+        self.classify(addr).region()
     }
 
     /// Recomputes every live region's reference count from first
@@ -2625,6 +2748,73 @@ mod tests {
         let l1 = rt.heap().load_count();
         assert_eq!(rt.region_of(Addr::new(0xF000_0000)), None);
         assert_eq!(rt.heap().load_count(), l1);
+    }
+
+    /// The simulated loads and stores each barrier kind charges, pinned,
+    /// untraced and traced alike: the host mirror must charge exactly the
+    /// page-map loads the in-heap walk performs, in debug builds too.
+    #[test]
+    fn every_barrier_kind_charges_its_pinned_loads_and_stores() {
+        type Store = fn(&mut RegionRuntime, Addr, Addr);
+        let region: Store = RegionRuntime::store_ptr_region;
+        let same: Store = RegionRuntime::store_ptr_region_same;
+        let global: Store = RegionRuntime::store_ptr_global;
+        let norc: Store = RegionRuntime::store_ptr_global_norc;
+        let unknown: Store = RegionRuntime::store_ptr_unknown;
+        let run = |traced: bool| {
+            let mut rt = RegionRuntime::new_safe();
+            let d = list_desc(&mut rt);
+            let g = rt.alloc_globals(2 * WORD);
+            let (r1, r2) = (rt.new_region(), rt.new_region());
+            let (a, b, c) = (rt.ralloc(r1, d), rt.ralloc(r2, d), rt.ralloc(r1, d));
+            rt.push_frame(1);
+            let slot = rt.stack_base;
+            // (what, barrier, location, value, loads, stores)
+            let cases: [(&str, Store, Addr, Addr, u64, u64); 10] = [
+                ("region, old null", region, a + 4, b, 3, 1),
+                ("region, old == new", region, a + 4, b, 2, 1),
+                ("region, value on the location's page", region, a + 4, c, 4, 1),
+                ("global, old null", global, g, b, 2, 1),
+                ("global, new null", global, g, Addr::NULL, 2, 1),
+                ("unknown, global storage", unknown, g, a, 3, 1),
+                ("unknown, region", unknown, c + 4, b, 3, 1),
+                ("unknown, unscanned stack slot", unknown, slot, a, 0, 1),
+                ("sameregion", same, b + 4, b, 1, 1),
+                ("global norc, null", norc, g + WORD, Addr::NULL, 0, 1),
+            ];
+            let mut charged = Vec::new();
+            for (what, store, loc, v, loads, stores) in cases {
+                if traced {
+                    rt.heap_mut().attach_sink(Box::new(simheap::RecordingSink::default()));
+                }
+                let (l0, s0) = (rt.heap().load_count(), rt.heap().store_count());
+                store(&mut rt, loc, v);
+                let got = (rt.heap().load_count() - l0, rt.heap().store_count() - s0);
+                assert_eq!(got, (loads, stores), "{what} (traced: {traced})");
+                if traced {
+                    let sink = rt.heap_mut().detach_sink().expect("a sink is attached");
+                    let log = sink.into_any().downcast::<simheap::RecordingSink>().expect("a recorder");
+                    let reads = log.log.iter().filter(|x| x.kind == simheap::AccessKind::Read).count();
+                    let seen = (reads as u64, (log.log.len() - reads) as u64);
+                    assert_eq!(seen, got, "{what}: the sink saw");
+                }
+                charged.push(got);
+            }
+            charged
+        };
+        assert_eq!(run(false), run(true));
+
+        // Unsafe mode: every barrier is a plain store.
+        let mut rt = RegionRuntime::new_unsafe();
+        let d = list_desc(&mut rt);
+        let g = rt.alloc_globals(WORD);
+        let r = rt.new_region();
+        let a = rt.ralloc(r, d);
+        for (store, loc) in [(region, a + 4), (same, a + 4), (global, g), (norc, g), (unknown, g)] {
+            let (l0, s0) = (rt.heap().load_count(), rt.heap().store_count());
+            store(&mut rt, loc, a);
+            assert_eq!((rt.heap().load_count() - l0, rt.heap().store_count() - s0), (0, 1));
+        }
     }
 
     #[test]

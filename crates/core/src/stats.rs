@@ -37,6 +37,7 @@ pub struct AllocStats {
 impl AllocStats {
     /// Records an allocation of `size` requested bytes; returns the
     /// four-byte-rounded size that was accounted.
+    #[inline]
     pub fn on_alloc(&mut self, size: u32) -> u32 {
         let rounded = size.div_ceil(4) * 4;
         self.total_allocs += 1;
@@ -70,6 +71,7 @@ impl AllocStats {
 
     /// Notes a region's current footprint for the "Max. kbytes in region"
     /// column.
+    #[inline]
     pub fn note_region_bytes(&mut self, region_bytes: u64) {
         self.max_region_bytes = self.max_region_bytes.max(region_bytes);
     }

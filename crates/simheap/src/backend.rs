@@ -109,15 +109,18 @@ impl HeapBackend for crate::SimHeap {
     fn peek_u32(&self, addr: Addr) -> u32 {
         SimHeapInherent::peek_u32(self, addr)
     }
+    #[inline]
     fn fill(&mut self, addr: Addr, len: u32, byte: u8) {
         SimHeapInherent::fill(self, addr, len, byte);
     }
     fn load_u32_range(&mut self, start: Addr, len: u32, stride: u32) -> Vec<u32> {
         SimHeapInherent::load_u32_range(self, start, len, stride)
     }
+    #[inline]
     fn is_tracing(&self) -> bool {
         SimHeapInherent::is_tracing(self)
     }
+    #[inline]
     fn charge_loads(&mut self, n: u64) {
         SimHeapInherent::charge_loads(self, n);
     }

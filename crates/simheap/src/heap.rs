@@ -228,6 +228,7 @@ impl SimHeap {
     /// host-side way to answer a query (e.g. a mirrored page map) may use
     /// it only when this is `false`, charging the simulated cost through
     /// [`SimHeap::charge_loads`] so counter totals stay identical.
+    #[inline]
     pub fn is_tracing(&self) -> bool {
         self.tracing
     }
@@ -236,6 +237,7 @@ impl SimHeap {
     /// mirrors of in-heap structures: the mirror answers the query, this
     /// charges what the simulated program would have paid. Must not be used
     /// while a sink is attached (the sink would miss the accesses).
+    #[inline]
     pub fn charge_loads(&mut self, n: u64) {
         debug_assert!(!self.tracing, "charge_loads while tracing loses sink records");
         self.loads += n;
@@ -397,22 +399,50 @@ impl SimHeap {
     /// where possible (each touched word counts as one store, matching the
     /// cost of a real `memset`).
     ///
-    /// Either way the fill is one bounds check plus one host `memset`, with
-    /// counter totals identical to the historic per-word path; with a sink
+    /// The hot body has [`SimHeap::scalar_index`]'s shape: one combined
+    /// test (past the guard page, within the break), the counter bump and
+    /// the host clear, done in place for a small object and by one host
+    /// `memset` otherwise; a failed test panics out of line. Counter
+    /// totals are identical to the historic per-word path; with a sink
     /// attached the stores are announced as at most three batched
-    /// [`AccessEvent::Range`] records (head bytes, whole words, tail bytes)
-    /// whose word expansion equals the old per-store emit loop exactly.
+    /// [`AccessEvent::Range`] records (head bytes, whole words, tail
+    /// bytes) whose word expansion equals the old per-store emit loop
+    /// exactly.
+    #[inline]
     pub fn fill(&mut self, addr: Addr, len: u32, byte: u8) {
         if len == 0 {
             return;
         }
-        self.check(addr, len, 1, "fill");
-        self.stores += SimHeap::fill_store_ops(addr, len);
         let i = addr.raw() as usize;
-        self.memory[i..i + len as usize].fill(byte);
-        if !self.tracing {
-            return;
+        if addr.raw() < PAGE_SIZE || i + len as usize > self.memory.len() {
+            self.fill_fault(addr, len);
         }
+        self.stores += SimHeap::fill_store_ops(addr, len);
+        let dst = &mut self.memory[i..i + len as usize];
+        if len <= SMALL_FILL {
+            fill_small(dst, byte);
+        } else {
+            dst.fill(byte);
+        }
+        if self.tracing {
+            self.emit_fill(addr, len);
+        }
+    }
+
+    /// Panics with [`SimHeap::check`]'s diagnostic for a fill that failed
+    /// [`SimHeap::fill`]'s test.
+    #[cold]
+    #[inline(never)]
+    fn fill_fault(&self, addr: Addr, len: u32) -> ! {
+        self.check(addr, len, 1, "fill");
+        unreachable!("fill of {len} bytes at {addr} failed the fill test but passed check")
+    }
+
+    /// Announces a fill's stores to the sink: head bytes, whole words,
+    /// tail bytes, one [`AccessEvent::Range`] each.
+    #[cold]
+    #[inline(never)]
+    fn emit_fill(&mut self, addr: Addr, len: u32) {
         let head = ((WORD - addr.raw() % WORD) % WORD).min(len);
         let rest = len - head;
         let (words, tail) = (rest / WORD, rest % WORD);
@@ -828,6 +858,41 @@ impl SimHeap {
             tracing: false,
             loads: image.loads,
             stores: image.stores,
+        }
+    }
+}
+
+/// Fills up to this many bytes in place instead of calling the host
+/// `memset`: a `ralloc` clears one small object.
+const SMALL_FILL: u32 = 32;
+
+/// Sets every byte of `dst` (at most [`SMALL_FILL`] long) to `byte` with
+/// at most two fixed-width stores that may overlap, the way a `memset`
+/// handles its short sizes.
+#[inline(always)]
+fn fill_small(dst: &mut [u8], byte: u8) {
+    fn put<const N: usize>(dst: &mut [u8], at: usize, byte: u8) {
+        dst[at..at + N].copy_from_slice(&[byte; N]);
+    }
+    let n = dst.len();
+    match n {
+        0 => {}
+        1..=3 => {
+            dst[0] = byte;
+            dst[n / 2] = byte;
+            dst[n - 1] = byte;
+        }
+        4..=7 => {
+            put::<4>(dst, 0, byte);
+            put::<4>(dst, n - 4, byte);
+        }
+        8..=15 => {
+            put::<8>(dst, 0, byte);
+            put::<8>(dst, n - 8, byte);
+        }
+        _ => {
+            put::<16>(dst, 0, byte);
+            put::<16>(dst, n - 16, byte);
         }
     }
 }

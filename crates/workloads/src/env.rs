@@ -110,24 +110,8 @@ impl MemClock {
         1 + self.rng % (2 * SAMPLE_PERIOD - 1)
     }
 
-    /// Counts a call; `true` if it is to be timed.
-    #[inline]
-    fn start(&mut self, stratum: Stratum) -> bool {
-        if stratum == Stratum::Exact {
-            self.first.get_or_insert_with(Instant::now);
-            return true;
-        }
-        self.calls += 1;
-        self.countdown -= 1;
-        if self.countdown > 0 {
-            return false;
-        }
-        self.countdown = self.gap();
-        self.first.get_or_insert_with(Instant::now);
-        true
-    }
-
     /// Charges a timed call, corrected for the clock's latency.
+    #[inline]
     fn charge(&mut self, stratum: Stratum, t: Timing) {
         self.min_read = self.min_read.min(t.read);
         let read_ok = t.read <= self.min_read.saturating_add(READ_SLACK_NS);
@@ -147,10 +131,54 @@ impl MemClock {
     /// Runs a call, timing it if its stratum and the schedule say so.
     #[inline]
     fn time<R>(&mut self, stratum: Stratum, f: impl FnOnce() -> R) -> R {
-        if !self.start(stratum) {
-            return f();
+        self.time_excluding(stratum, (), |()| f(), |()| Duration::ZERO)
+    }
+
+    /// [`MemClock::time`] for a call on `cx` that may run work timed on
+    /// its own: `excluded(cx)` reads that work's running total, and what
+    /// it grows by during a timed call comes out of the call's time.
+    ///
+    /// An untimed call is one countdown step and the call itself, small
+    /// enough to inline at every call site (DESIGN §18); the schedule,
+    /// the stamp of the first timed call, the probe and the charge are
+    /// all in [`MemClock::timed`], out of line.
+    #[inline]
+    fn time_excluding<C, R>(
+        &mut self,
+        stratum: Stratum,
+        mut cx: C,
+        f: impl FnOnce(&mut C) -> R,
+        excluded: impl Fn(&C) -> Duration,
+    ) -> R {
+        if stratum == Stratum::Sampled {
+            self.calls += 1;
+            if self.countdown > 1 {
+                self.countdown -= 1;
+                return f(&mut cx);
+            }
         }
-        let (r, t) = probe(f);
+        self.timed(stratum, cx, f, excluded)
+    }
+
+    /// The timed path of [`MemClock::time_excluding`]: draws the next
+    /// gap of a sampled call, stamps the first timed call, and runs the
+    /// call inside the probe.
+    #[cold]
+    #[inline(never)]
+    fn timed<C, R>(
+        &mut self,
+        stratum: Stratum,
+        mut cx: C,
+        f: impl FnOnce(&mut C) -> R,
+        excluded: impl Fn(&C) -> Duration,
+    ) -> R {
+        if stratum == Stratum::Sampled {
+            self.countdown = self.gap();
+        }
+        self.first.get_or_insert_with(Instant::now);
+        let before = excluded(&cx);
+        let (r, mut t) = probe(|| f(&mut cx));
+        t.call -= nanos(excluded(&cx) - before);
         self.charge(stratum, t);
         r
     }
@@ -283,19 +311,16 @@ impl MallocEnv {
         self.kind
     }
 
-    /// Allocates `size` bytes (timed as memory-management work).
+    /// Allocates `size` bytes (timed as memory-management work). A
+    /// collection this call runs is charged exactly by `mem_time`, so it
+    /// is taken out of the call's time.
     pub fn malloc(&mut self, size: u32) -> Addr {
-        let (alloc, heap) = (&mut self.alloc, &mut self.heap);
-        if !self.clock.start(Stratum::Sampled) {
-            return alloc.malloc(heap, size);
-        }
-        // A collection this call runs is charged exactly by
-        // `mem_time`, so it is taken out of the call's time.
-        let collected = alloc.collect_time();
-        let (a, mut t) = probe(|| alloc.malloc(heap, size));
-        t.call -= nanos(alloc.collect_time() - collected);
-        self.clock.charge(Stratum::Sampled, t);
-        a
+        self.clock.time_excluding(
+            Stratum::Sampled,
+            (&mut self.alloc, &mut self.heap),
+            |(alloc, heap)| alloc.malloc(heap, size),
+            |(alloc, _)| alloc.collect_time(),
+        )
     }
 
     /// Frees a block (no-op under GC).
@@ -743,7 +768,18 @@ mod tests {
     /// The indices of the sampled-stratum calls a fresh clock times.
     fn timed_calls(n: u64) -> Vec<u64> {
         let mut clock = MemClock::new();
-        let timed = (0..n).filter(|_| clock.start(Stratum::Sampled)).collect();
+        // Only a timed call reads the excluded work's total.
+        let probed = std::cell::Cell::new(false);
+        let mut timed_call = || {
+            probed.set(false);
+            let excluded = |_: &()| {
+                probed.set(true);
+                Duration::ZERO
+            };
+            clock.time_excluding(Stratum::Sampled, (), |_| (), excluded);
+            probed.get()
+        };
+        let timed = (0..n).filter(|_| timed_call()).collect();
         assert_eq!(clock.calls, n);
         timed
     }

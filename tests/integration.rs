@@ -511,3 +511,47 @@ fn service_books_match_their_quick_pin() {
         }
     }
 }
+
+/// Tier-1 reach of the four fresh-recording trace pins: grobner's,
+/// mudlle's, lcc's and moss's safe-region streams at scale 1 keep the
+/// access count and stream hash that `fig10 --quick --record-golden`
+/// prints for them, so a reordered or dropped access fails here too.
+#[test]
+fn fresh_trace_recordings_keep_their_pinned_hashes() {
+    use bench_harness::golden::record_region_trace;
+
+    for (w, total, hash) in [
+        (Workload::Grobner, 465_356, 0x1779_36f7_80af_b031),
+        (Workload::Mudlle, 98_874, 0x74e1_f726_559f_576d),
+        (Workload::Lcc, 64_033, 0xec6b_b2cb_d63e_80a7),
+        (Workload::Moss, 1_183_586, 0x1381_0a2e_ea31_ec08),
+    ] {
+        let rec = record_region_trace(w, 1);
+        let got = format!("{} accesses, hash {:016x}", rec.total, rec.hash);
+        assert_eq!((rec.total, rec.hash), (total, hash), "{}: {got}", w.name());
+    }
+}
+
+/// The host page-map mirror charges exactly what the in-heap map costs:
+/// every program's untraced safe-region run counts as many loads and
+/// stores as the cache simulator sees when the same run is traced (the
+/// traced run reads the in-heap map, the untraced one charges a load per
+/// mirror answer).
+#[test]
+fn untraced_runs_charge_what_the_traced_heap_performs() {
+    use explicit_regions::cache_sim::MemorySystem;
+
+    for w in Workload::ALL {
+        let mut env = RegionEnv::new(RegionKind::Safe);
+        w.run_region(&mut env, 1);
+        let untraced = (env.heap().load_count(), env.heap().store_count());
+
+        let mut env = RegionEnv::new(RegionKind::Safe);
+        env.heap().attach_sink(Box::new(MemorySystem::default()));
+        w.run_region(&mut env, 1);
+        let sink = env.into_heap().detach_sink().expect("a sink is attached");
+        let mem = MemorySystem::from_sink(sink).stats();
+        let traced = (mem.reads, mem.writes);
+        assert_eq!(untraced, traced, "{}: untraced vs traced (loads, stores)", w.name());
+    }
+}
