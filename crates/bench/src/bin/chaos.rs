@@ -2034,9 +2034,9 @@ fn scenario_par(seed: u64, ops: u64) -> Tally {
         // dead worker's abandoned one — must pass the full sanitizer on
         // the shared space, and the published mirror must agree with
         // every shard's private page map.
-        // The watchdog in `supervise` runs attempts on detached threads
-        // that can outlive the call by an instant, so the slot Arcs may
-        // still be shared — go through the locks, not `try_unwrap`.
+        // An attempt `supervise` abandoned can outlive the call holding
+        // its job, so the slot Arcs may still be shared — go through the
+        // locks, not `try_unwrap`.
         let mut world: Vec<std::sync::MutexGuard<'_, ShardSlot>> = slots
             .iter()
             .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner))

@@ -588,7 +588,7 @@ fn attempt_request(slot: &mut SessionSlot, plan: &Plan) -> Result<u64, RegionErr
         Ok(())
     })();
     let del = slot.rt.try_delete_region(r);
-    debug_assert!(del.is_ok(), "request region delete blocked: {del:?}");
+    assert!(del.is_ok(), "request region delete blocked: {del:?}");
     res.map(|()| fold(d, 7))
 }
 
@@ -680,10 +680,7 @@ fn drain_delete(slot: &mut SessionSlot, r: RegionId) {
         match step {
             Ok(region_core::DeleteProgress::Done) => return,
             Ok(region_core::DeleteProgress::Parked) => {}
-            Err(e) => {
-                debug_assert!(false, "index region delete failed: {e:?}");
-                return;
-            }
+            Err(e) => panic!("index region delete failed: {e:?}"),
         }
     }
 }
@@ -905,7 +902,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         }
         if let Some(cr) = s.cache.take() {
             let del = s.rt.try_delete_region(cr);
-            debug_assert!(del.is_ok(), "cache region delete blocked: {del:?}");
+            assert!(del.is_ok(), "cache region delete blocked: {del:?}");
         }
         let rep = s.rt.sanitize();
         assert!(rep.is_clean(), "final session sanitize dirty: {rep}");

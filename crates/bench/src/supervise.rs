@@ -13,7 +13,15 @@
 //! and ends; the calling thread is the watchdog. It sleeps until the
 //! deadline of the oldest attempt still running, and only an attempt
 //! that overruns costs a thread: its worker is abandoned and one
-//! replacement spawned.
+//! replacement handed the rest of the queue.
+//!
+//! Workers outlive the call. One that finds its call's queue empty drops
+//! what it held of the call and parks in a process-wide idle list; the
+//! next call hands its jobs to parked workers and spawns a thread only
+//! when too few are parked. A call returns once each of its workers that
+//! was not abandoned has parked, so back-to-back calls never spawn, and
+//! no thread starts or exits beside a later call's jobs. An abandoned
+//! worker parks only after its late attempt returns.
 //!
 //! Its callers run jobs that may crash: the region service (one job
 //! per session batch; the retry reclaims the region a crash stranded),
@@ -25,8 +33,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How [`supervise`] runs a batch of jobs.
@@ -37,8 +45,8 @@ pub struct SuperviseConfig {
     /// Deadline per *attempt*, enforced by the calling thread as
     /// watchdog. `None` never times out; with `Some(d)` an attempt still
     /// running after `d` is abandoned together with its worker thread (a
-    /// stuck attempt leaks rather than wedging supervision) and a
-    /// replacement worker takes over.
+    /// stuck attempt holds its thread rather than wedging supervision)
+    /// and a replacement worker takes over.
     pub deadline: Option<Duration>,
     /// Maximum attempts per job (min 1). A job that panics on its last
     /// attempt is reported [`JobOutcome::Panicked`].
@@ -122,6 +130,48 @@ enum Event<T> {
     End { job: usize, report: Option<WorkerReport<T>> },
 }
 
+/// One call's share of work for a pooled worker.
+struct Handoff {
+    /// Drains the call's queue; `false` if the watchdog abandoned an
+    /// attempt. Returning drops what the worker held of the call.
+    work: Box<dyn FnOnce() -> bool + Send>,
+    /// Told once the worker has parked again, unless it was abandoned.
+    parked: Sender<()>,
+}
+
+/// Parked workers, process-wide: each entry is the channel the worker
+/// waits on for its next [`Handoff`].
+static IDLE: Mutex<Vec<Sender<Handoff>>> = Mutex::new(Vec::new());
+
+/// Hands `handoff` to a parked worker, spawning one only when none is
+/// parked. Detached, not scoped: a scope would join — and hang on — a
+/// worker stuck in a job.
+fn hand(handoff: Handoff) {
+    let parked = IDLE.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    match parked {
+        // A worker is listed only while it waits in `pool_worker`.
+        Some(worker) => worker.send(handoff).expect("a parked worker is alive"),
+        None => {
+            let (tx, rx) = mpsc::channel();
+            tx.send(handoff).expect("receiver is alive");
+            std::thread::spawn(move || pool_worker(tx, rx));
+        }
+    }
+}
+
+/// A pooled worker's life: run each handoff, then park. It holds its own
+/// sender (to list itself as idle), so `recv` never fails and the thread
+/// lives as long as the process.
+fn pool_worker(me: Sender<Handoff>, rx: Receiver<Handoff>) {
+    while let Ok(Handoff { work, parked }) = rx.recv() {
+        let finished = work();
+        IDLE.lock().unwrap_or_else(PoisonError::into_inner).push(me.clone());
+        if finished {
+            let _ = parked.send(());
+        }
+    }
+}
+
 /// The jobs of one [`supervise`] call, shared by its worker threads.
 struct Crew<F> {
     jobs: Vec<F>,
@@ -131,28 +181,29 @@ struct Crew<F> {
 }
 
 impl<F> Crew<F> {
-    /// Starts a detached worker that drains the queue. Detached, not
-    /// scoped: a scope would join — and hang on — a worker stuck in a
-    /// job.
-    fn spawn<T>(self: &Arc<Self>, tx: &Sender<Event<T>>)
+    /// Hands a worker the queue: a parked one, or a new thread.
+    fn hand<T>(self: &Arc<Self>, tx: &Sender<Event<T>>, parked: &Sender<()>)
     where
         F: Fn(u32) -> T + Send + Sync + 'static,
         T: Send + 'static,
     {
         let (crew, tx) = (Arc::clone(self), tx.clone());
-        std::thread::spawn(move || crew.work(&tx));
+        hand(Handoff { work: Box::new(move || crew.work(&tx)), parked: parked.clone() });
     }
 
-    /// The worker loop. Returns when the queue is empty or when the
-    /// watchdog abandoned this worker's attempt.
-    fn work<T>(&self, tx: &Sender<Event<T>>)
+    /// The worker loop. Returns `true` when the queue is empty, `false`
+    /// when the watchdog abandoned this worker's attempt.
+    fn work<T>(&self, tx: &Sender<Event<T>>) -> bool
     where
         F: Fn(u32) -> T,
     {
         loop {
             let job = self.next.fetch_add(1, Ordering::Relaxed);
-            if job >= self.jobs.len() || !self.run_job(job, tx) {
-                return;
+            if job >= self.jobs.len() {
+                return true;
+            }
+            if !self.run_job(job, tx) {
+                return false;
             }
         }
     }
@@ -199,18 +250,24 @@ impl<F> Crew<F> {
 ///
 /// Each job is a closure receiving its attempt index (0 on the first
 /// try), so a job can behave differently on retry — the chaos harness
-/// injects "panic on attempt 0 only" faults this way. `workers` detached
+/// injects "panic on attempt 0 only" faults this way. `workers` pooled
 /// threads pull jobs from a shared cursor and run every attempt inline;
 /// a panicked or abandoned job costs that job, never the batch.
 ///
 /// The calling thread is the watchdog: it collects the workers' reports
 /// and, under a deadline, waits no longer than the deadline of the
 /// oldest attempt still running. An attempt that overruns is abandoned
-/// together with its worker (the thread leaks rather than wedging
-/// supervision); the job is reported [`JobOutcome::TimedOut`] and one
-/// replacement worker is spawned for the rest of the queue. A call
-/// therefore spawns `workers` threads plus one per abandoned attempt.
-/// With one worker and no deadline the jobs run on the calling thread.
+/// together with its worker (the thread stays in the job rather than
+/// wedging supervision); the job is reported [`JobOutcome::TimedOut`]
+/// and one replacement worker is handed the rest of the queue.
+///
+/// Workers come from a process-wide idle list, and a thread is spawned
+/// only when too few are parked. The call returns once every worker it
+/// did not abandon has parked again, so back-to-back calls reuse the
+/// same threads: the pool grows only to the most workers asked for at
+/// once plus the abandoned attempts, and an abandoned worker rejoins it
+/// when its attempt returns. With one worker and no deadline the jobs
+/// run on the calling thread.
 pub fn supervise<T, F>(jobs: Vec<F>, cfg: &SuperviseConfig) -> Vec<WorkerReport<T>>
 where
     F: Fn(u32) -> T + Send + Sync + 'static,
@@ -220,14 +277,19 @@ where
     let workers = cfg.workers.max(1).min(n.max(1));
     let crew = Arc::new(Crew { jobs, next: AtomicUsize::new(0), cfg: cfg.clone() });
     let (tx, rx) = mpsc::channel();
-    if workers <= 1 && cfg.deadline.is_none() {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    // Workers that will park when the queue runs dry: an abandoned one
+    // is replaced, so their number stays `workers`.
+    let pooled = if workers <= 1 && cfg.deadline.is_none() {
         // Inline: no worker threads on a serial machine.
         crew.work(&tx);
+        0
     } else {
         for _ in 0..workers {
-            crew.spawn(&tx);
+            crew.hand(&tx, &parked_tx);
         }
-    }
+        workers
+    };
     let mut reports: Vec<Option<WorkerReport<T>>> = (0..n).map(|_| None).collect();
     // Per job: the attempt running now, when it began, and its claim.
     let mut running: Vec<Option<(u32, Instant, Arc<AtomicBool>)>> = (0..n).map(|_| None).collect();
@@ -264,9 +326,14 @@ where
                 let outcome = JobOutcome::TimedOut(cfg.deadline.expect("only a deadline times out"));
                 reports[job] = Some(WorkerReport { job, attempts: attempt + 1, outcome });
                 left -= 1;
-                crew.spawn(&tx);
+                crew.hand(&tx, &parked_tx);
             }
         }
+    }
+    // Wait for the workers to park, so the next call finds them idle.
+    drop(parked_tx);
+    for _ in 0..pooled {
+        parked_rx.recv().expect("a worker died before parking");
     }
     reports.into_iter().map(|r| r.expect("every job reported")).collect()
 }
