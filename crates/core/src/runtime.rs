@@ -112,7 +112,7 @@ impl BumpState {
 /// while its deletion is resumed one budgeted increment at a time. The
 /// parked state carries the resumable work itself, so a deletion in
 /// progress is booked in one place.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Liveness {
     Live,
     /// Deletion in progress, to be resumed from this phase. Only in the
@@ -135,6 +135,16 @@ struct RegionInfo {
     allocs: u64,
 }
 
+impl RegionInfo {
+    /// The region's normal pages followed by its string pages, from
+    /// index `from` on: during page return, the pages it still holds.
+    fn pages_from(&self, from: u32) -> impl DoubleEndedIterator<Item = Addr> + Clone + '_ {
+        let skip = (from as usize).min(self.normal.pages.len());
+        let rest = &self.string.pages[(from as usize - skip).min(self.string.pages.len())..];
+        self.normal.pages[skip..].iter().chain(rest).map(|&(p, _)| p)
+    }
+}
+
 /// Progress of one incremental deletion step
 /// ([`RegionRuntime::try_delete_region_step`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -148,40 +158,28 @@ pub enum DeleteProgress {
 
 /// The phase split of an incremental `deleteregion`: bring the doomed
 /// region's count up to date (stack scan), release the counts its
-/// objects hold on other regions (the Figure 7 walk, driven by an
-/// explicit mark stack instead of nested loops), then return pages.
-/// A parked region's phase is serialized into `RSNP` snapshots after
-/// its liveness byte, so a kill-and-restore mid-deletion replays the
-/// remaining increments exactly.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// objects hold on other regions (the Figure 7 walk, resumable at any
+/// object), then return pages. The two later phases hold only an index
+/// into the region's own page lists, so parking a deletion copies
+/// nothing. A parked region's phase is serialized into `RSNP`
+/// snapshots after its liveness byte, so a kill-and-restore
+/// mid-deletion replays the remaining increments exactly.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum DeletePhase {
     /// Scanning unscanned stack frames, one frame per work unit. The
     /// `attempt_*` totals track the scan work done by *this* delete
     /// attempt so a refusal can be attributed
     /// ([`crate::ScanAttribution`]).
     ScanStack { attempt_frames: u64, attempt_slots: u64 },
-    /// The cleanup walk. `marks` is the explicit mark stack: one
-    /// `(page, start, cursor)` entry per remaining normal page, pushed
-    /// in reverse page order so popping walks the pages in list order;
-    /// `cursor` (≥ `start`) is the next unprocessed object-header offset
-    /// on the top entry.
-    Cleanup { marks: Vec<(Addr, u32, u32)> },
-    /// Returning pages to the pool, stored in reverse release order
-    /// (pages are released normal pages first, then string pages).
-    ReturnPages { pages: Vec<Addr> },
-}
-
-impl DeletePhase {
-    /// The same phase with its work list left out: what a region's
-    /// liveness holds while an increment runs that phase. The count
-    /// rules depend only on which phase is running.
-    fn without_work(&self) -> DeletePhase {
-        match self {
-            DeletePhase::ScanStack { .. } => self.clone(),
-            DeletePhase::Cleanup { .. } => DeletePhase::Cleanup { marks: Vec::new() },
-            DeletePhase::ReturnPages { .. } => DeletePhase::ReturnPages { pages: Vec::new() },
-        }
-    }
+    /// The cleanup walk, at normal page `page` (an index into the
+    /// normal allocator's list; the pages before it are done), whose
+    /// next unprocessed object header is at offset `cursor` (at most
+    /// the page's first object offset: the walk starts there).
+    Cleanup { page: u32, cursor: u32 },
+    /// Returning pages to the pool: `page` indexes the normal pages
+    /// followed by the string pages, and every page before it has been
+    /// returned.
+    ReturnPages { page: u32 },
 }
 
 /// A stack frame of region-pointer locals (see `stack.rs`).
@@ -245,6 +243,11 @@ pub struct RegionRuntime<H: HeapBackend = SimHeap> {
     config: RegionConfig,
     descs: DescriptorTable,
     regions: Vec<RegionInfo>,
+    /// Emptied page-list buffers of dead regions, which new regions
+    /// take their lists from, so creating and deleting regions
+    /// allocates no host memory in steady state. Host capacity only:
+    /// not serialized, empty in a restored runtime.
+    spare_lists: Vec<Vec<(Addr, u32)>>,
     free_pages: Vec<Addr>,
     /// Root of the two-level page map; each chunk page covers
     /// [`CHUNK_COVER`] heap pages.
@@ -335,6 +338,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             config,
             descs: DescriptorTable::new(),
             regions: Vec::new(),
+            spare_lists: Vec::new(),
             free_pages: Vec::new(),
             map_root: Vec::new(),
             map_mirror: Vec::new(),
@@ -681,17 +685,11 @@ impl<H: HeapBackend> RegionRuntime<H> {
         // Acquire the first page before registering the region so a
         // failed acquisition leaves no half-created region behind.
         let page = self.try_acquire_page(Some(id))?;
-        self.regions.push(RegionInfo {
-            rc: 0,
-            liveness: Liveness::Live,
-            normal: BumpState::default(),
-            string: BumpState::default(),
-            bytes: 0,
-            allocs: 0,
-        });
-        let region = &mut self.regions[id.0 as usize];
-        region.normal.pages.push((page, first_off));
-        region.normal.alloc_from = first_off;
+        let mut pages = self.spare_lists.pop().unwrap_or_default();
+        pages.push((page, first_off));
+        let normal = BumpState { pages, alloc_from: first_off };
+        let string = BumpState { pages: self.spare_lists.pop().unwrap_or_default(), alloc_from: 0 };
+        self.regions.push(RegionInfo { rc: 0, liveness: Liveness::Live, normal, string, bytes: 0, allocs: 0 });
         // The page may be recycled (dirty); the cleanup scan must find a
         // null cleanup word at the scan start even if nothing is ever
         // allocated here.
@@ -1215,7 +1213,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     ///
     /// The deletion is a resumable state machine
     /// ([`DeletePhase`]): scan the shadow stack one frame at a time,
-    /// then walk the doomed region's objects off an explicit mark stack
+    /// then walk the doomed region's objects page by page from a cursor,
     /// decrementing outgoing references (Figure 7), then return pages to
     /// the pool one at a time. The books balance at *every* increment
     /// boundary — [`RegionRuntime::sanitize`] is clean between any two
@@ -1237,32 +1235,18 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Returns [`DeleteProgress::Done`] when the region is gone and
     /// [`DeleteProgress::Parked`] when budget ran out mid-phase.
     pub fn try_delete_region_step(&mut self, r: RegionId) -> Result<DeleteProgress, RegionError> {
-        let liveness = std::mem::replace(&mut self.regions[r.0 as usize].liveness, Liveness::Dead);
-        let phase = match liveness {
+        let phase = match self.regions[r.0 as usize].liveness {
             Liveness::Dead => return Err(RegionError::RegionDeleted { region: r }),
             Liveness::Parked(phase) => phase,
             // Unsafe mode has no counts to prove or release: deletion is
             // unconditional and the only work is handing pages back,
             // which is still budgeted.
-            Liveness::Live if !self.is_safe() => {
-                DeletePhase::ReturnPages { pages: self.take_pages(r) }
-            }
+            Liveness::Live if !self.is_safe() => DeletePhase::ReturnPages { page: 0 },
             Liveness::Live => DeletePhase::ScanStack { attempt_frames: 0, attempt_slots: 0 },
         };
         let outcome = self.run_increment(r, phase);
         self.unscan_top();
         outcome
-    }
-
-    /// Empties both of `r`'s page lists into the `ReturnPages` queue:
-    /// normal pages, then string pages, stored reversed so popping
-    /// releases them in list order.
-    fn take_pages(&mut self, r: RegionId) -> Vec<Addr> {
-        let info = &mut self.regions[r.0 as usize];
-        let pages = info.normal.pages.drain(..).chain(info.string.pages.drain(..));
-        let mut pages: Vec<Addr> = pages.map(|(p, _)| p).collect();
-        pages.reverse();
-        pages
     }
 
     /// Parks `r` at `phase`, where the next increment resumes.
@@ -1283,9 +1267,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
     ) -> Result<DeleteProgress, RegionError> {
         let mut budget = self.delete_budget;
         loop {
-            // While a phase runs, its work list lives here; the region's
-            // liveness names the phase, which is all the count rules read.
-            self.regions[r.0 as usize].liveness = Liveness::Parked(phase.without_work());
+            // The region's liveness names the running phase, which is
+            // all the count rules read.
+            self.regions[r.0 as usize].liveness = Liveness::Parked(phase);
             match phase {
                 DeletePhase::ScanStack { mut attempt_frames, mut attempt_slots } => {
                     while self.hwm < self.frames.len() {
@@ -1309,46 +1293,40 @@ impl<H: HeapBackend> RegionRuntime<H> {
                         self.regions[r.0 as usize].liveness = Liveness::Live;
                         return Err(RegionError::DeleteBlocked { region: r, rc });
                     }
-                    // Mark stack, pushed in reverse so pops walk the
-                    // pages in list order. Each mark is (page, start
-                    // offset, cursor); the cursor resumes mid-page.
-                    let marks: Vec<(Addr, u32, u32)> = self.regions[r.0 as usize]
-                        .normal
-                        .pages
-                        .iter()
-                        .rev()
-                        .map(|&(p, start)| (p, start, start))
-                        .collect();
-                    phase = DeletePhase::Cleanup { marks };
+                    phase = DeletePhase::Cleanup { page: 0, cursor: 0 };
                 }
-                DeletePhase::Cleanup { mut marks } => {
-                    while let Some((page, start, cursor)) = marks.pop() {
-                        let parked = self.cleanup_page(r, page, start, cursor, &mut budget);
-                        if let Some(cursor) = parked {
-                            marks.push((page, start, cursor));
-                            return Ok(self.park(r, DeletePhase::Cleanup { marks }));
-                        }
+                DeletePhase::Cleanup { page, cursor } => {
+                    let Some(&(p, start)) = self.regions[r.0 as usize].normal.pages.get(page as usize) else {
+                        self.costs.deletes += 1;
+                        phase = DeletePhase::ReturnPages { page: 0 };
+                        continue;
+                    };
+                    if let Some(cursor) = self.cleanup_page(r, p, start, cursor.max(start), &mut budget) {
+                        return Ok(self.park(r, DeletePhase::Cleanup { page, cursor }));
                     }
-                    self.costs.deletes += 1;
-                    phase = DeletePhase::ReturnPages { pages: self.take_pages(r) };
+                    phase = DeletePhase::Cleanup { page: page + 1, cursor: 0 };
                 }
-                DeletePhase::ReturnPages { mut pages } => {
-                    while let Some(&p) = pages.last() {
-                        if budget == 0 {
-                            return Ok(self.park(r, DeletePhase::ReturnPages { pages }));
-                        }
-                        self.release_page(p);
-                        pages.pop();
-                        budget -= 1;
+                DeletePhase::ReturnPages { page } => {
+                    let Some(p) = self.regions[r.0 as usize].pages_from(page).next() else { break };
+                    if budget == 0 {
+                        return Ok(self.park(r, phase));
                     }
-                    let info = &mut self.regions[r.0 as usize];
-                    info.liveness = Liveness::Dead;
-                    let bytes = info.bytes;
-                    self.stats.on_region_deleted(bytes);
-                    return Ok(DeleteProgress::Done);
+                    self.release_page(p);
+                    budget -= 1;
+                    phase = DeletePhase::ReturnPages { page: page + 1 };
                 }
             }
         }
+        let info = &mut self.regions[r.0 as usize];
+        info.liveness = Liveness::Dead;
+        // The emptied lists serve the next new regions.
+        for bump in [&mut info.normal, &mut info.string] {
+            bump.pages.clear();
+            self.spare_lists.push(std::mem::take(&mut bump.pages));
+        }
+        let bytes = info.bytes;
+        self.stats.on_region_deleted(bytes);
+        Ok(DeleteProgress::Done)
     }
 
     /// The historical boolean form of [`RegionRuntime::try_delete_region`]:
@@ -1630,7 +1608,13 @@ impl<H: HeapBackend> RegionRuntime<H> {
             // byte-identical when no deletion is parked), 2 = parked —
             // followed by the phase payload so a restore resumes the
             // deletion exactly where it parked.
-            match &info.liveness {
+            // The two later phases are written in their historical
+            // layout: the mark stack is the unprocessed normal pages in
+            // reverse, with only the top entry mid-page; the page queue
+            // is the pages still held, in reverse, and both lists are
+            // written empty while it drains.
+            let returning = matches!(info.liveness, Liveness::Parked(DeletePhase::ReturnPages { .. }));
+            match info.liveness {
                 Liveness::Dead => w.u8(0),
                 Liveness::Live => w.u8(1),
                 Liveness::Parked(phase) => {
@@ -1638,22 +1622,24 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     match phase {
                         DeletePhase::ScanStack { attempt_frames, attempt_slots } => {
                             w.u8(0);
-                            w.u64(*attempt_frames);
-                            w.u64(*attempt_slots);
+                            w.u64(attempt_frames);
+                            w.u64(attempt_slots);
                         }
-                        DeletePhase::Cleanup { marks } => {
+                        DeletePhase::Cleanup { page, cursor } => {
                             w.u8(1);
+                            let marks = &info.normal.pages[page as usize..];
                             w.u32(marks.len() as u32);
-                            for &(page, start, cursor) in marks {
-                                w.u32(page.raw());
+                            for (k, &(p, start)) in marks.iter().enumerate().rev() {
+                                w.u32(p.raw());
                                 w.u32(start);
-                                w.u32(cursor);
+                                w.u32(if k == 0 { cursor.max(start) } else { start });
                             }
                         }
-                        DeletePhase::ReturnPages { pages } => {
+                        DeletePhase::ReturnPages { page } => {
                             w.u8(2);
-                            w.u32(pages.len() as u32);
-                            for &p in pages {
+                            let held = info.pages_from(page);
+                            w.u32(held.clone().count() as u32);
+                            for p in held.rev() {
                                 w.u32(p.raw());
                             }
                         }
@@ -1661,8 +1647,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 }
             }
             for bump in [&info.normal, &info.string] {
-                w.u32(bump.pages.len() as u32);
-                for &(p, off) in &bump.pages {
+                let list: &[(Addr, u32)] = if returning { &[] } else { &bump.pages };
+                w.u32(list.len() as u32);
+                for &(p, off) in list {
                     w.u32(p.raw());
                     w.u32(off);
                 }
@@ -1845,8 +1832,10 @@ impl<H: HeapBackend> RegionRuntime<H> {
             let rc = r.i64()?;
             // Liveness byte 2 = parked mid-deletion; its phase payload
             // precedes the bump allocators in the stream, so decode it
-            // first and cross-validate once the page lists are known.
-            let liveness = match r.u8()? {
+            // first and translate it to page indices once the page
+            // lists are known.
+            let (mut marks, mut queue) = (Vec::new(), Vec::new());
+            let mut liveness = match r.u8()? {
                 0 => Liveness::Dead,
                 1 => Liveness::Live,
                 2 => {
@@ -1860,7 +1849,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             if n >= (1 << 24) {
                                 return Err(r.malformed());
                             }
-                            let mut marks = Vec::new();
                             for _ in 0..n {
                                 let p = r.u32()?;
                                 let start = r.u32()?;
@@ -1874,22 +1862,21 @@ impl<H: HeapBackend> RegionRuntime<H> {
                                 }
                                 marks.push((Addr::new(p), start, cursor));
                             }
-                            DeletePhase::Cleanup { marks }
+                            DeletePhase::Cleanup { page: 0, cursor: 0 }
                         }
                         2 => {
                             let n = r.u32()?;
                             if n >= (1 << 24) {
                                 return Err(r.malformed());
                             }
-                            let mut pages = Vec::new();
                             for _ in 0..n {
                                 let p = r.u32()?;
                                 if !page_ok(p) {
                                     return Err(r.malformed());
                                 }
-                                pages.push(Addr::new(p));
+                                queue.push(Addr::new(p));
                             }
-                            DeletePhase::ReturnPages { pages }
+                            DeletePhase::ReturnPages { page: 0 }
                         }
                         _ => return Err(r.malformed()),
                     };
@@ -1913,46 +1900,53 @@ impl<H: HeapBackend> RegionRuntime<H> {
                     return Err(r.malformed());
                 }
             }
-            let [normal, string] = bumps;
+            let [mut normal, string] = bumps;
             let bytes = r.u64()?;
             let allocs = r.u64()?;
-            if let Liveness::Parked(phase) = &liveness {
+            let listed = !normal.pages.is_empty() || !string.pages.is_empty();
+            match &mut liveness {
+                // A deleted region's pages are all back in the pool.
+                Liveness::Dead if listed => return Err(r.malformed()),
+                Liveness::Dead | Liveness::Live => {}
                 // Only the page-return phase exists in unsafe mode (no
                 // counts to prove or release).
-                if mode == SafetyMode::Unsafe
-                    && !matches!(phase, DeletePhase::ReturnPages { .. })
+                Liveness::Parked(phase)
+                    if mode == SafetyMode::Unsafe
+                        && !matches!(phase, DeletePhase::ReturnPages { .. }) =>
                 {
                     return Err(r.malformed());
                 }
-                match phase {
-                    DeletePhase::ScanStack { .. } => {}
-                    DeletePhase::Cleanup { marks } => {
-                        // The mark stack is the still-unprocessed pages
-                        // in reverse, so reversed it must be a suffix
-                        // of the normal allocator's page list, and only
-                        // the top mark may sit mid-page.
-                        if marks.len() > normal.pages.len() {
-                            return Err(r.malformed());
-                        }
-                        let tail = &normal.pages[normal.pages.len() - marks.len()..];
-                        for (m, &(p, start)) in marks.iter().rev().zip(tail) {
-                            if m.0 != p || m.1 != start {
-                                return Err(r.malformed());
-                            }
-                        }
-                        for m in &marks[..marks.len().saturating_sub(1)] {
-                            if m.2 != m.1 {
-                                return Err(r.malformed());
-                            }
-                        }
+                Liveness::Parked(DeletePhase::ScanStack { .. }) => {}
+                Liveness::Parked(DeletePhase::Cleanup { page, cursor }) => {
+                    // The mark stack is the still-unprocessed pages
+                    // in reverse, so reversed it must be a suffix
+                    // of the normal allocator's page list, and only
+                    // the top mark may sit mid-page.
+                    if marks.len() > normal.pages.len() {
+                        return Err(r.malformed());
                     }
-                    DeletePhase::ReturnPages { .. } => {
-                        // Both allocators were drained when cleanup
-                        // finished; pages survive only in the phase.
-                        if !normal.pages.is_empty() || !string.pages.is_empty() {
+                    let tail = &normal.pages[normal.pages.len() - marks.len()..];
+                    for (m, &(p, start)) in marks.iter().rev().zip(tail) {
+                        if m.0 != p || m.1 != start {
                             return Err(r.malformed());
                         }
                     }
+                    for m in &marks[..marks.len().saturating_sub(1)] {
+                        if m.2 != m.1 {
+                            return Err(r.malformed());
+                        }
+                    }
+                    *page = (normal.pages.len() - marks.len()) as u32;
+                    *cursor = marks.last().map_or(0, |m| m.2);
+                }
+                Liveness::Parked(DeletePhase::ReturnPages { .. }) => {
+                    // Both allocators are written empty while pages
+                    // return; the queue holds the pages still held, in
+                    // reverse, which are returned from index 0 on.
+                    if listed {
+                        return Err(r.malformed());
+                    }
+                    normal.pages = queue.iter().rev().map(|&p| (p, 0)).collect();
                 }
             }
             regions.push(RegionInfo { rc, liveness, normal, string, bytes, allocs });
@@ -1989,6 +1983,28 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 return Err(r.malformed());
             }
             map_mirror.push(m);
+        }
+        // Every page a region holds is its own in the map, every pooled
+        // page is unowned, and no page is held twice: otherwise deleting
+        // one region would unown a page another still allocates on.
+        r.section("page-ownership");
+        let cell = |p: Addr| map_mirror.get(p.page_index() as usize).copied().unwrap_or(0);
+        let mut held: Vec<u32> = free_pages.iter().map(|p| p.raw()).collect();
+        if free_pages.iter().any(|&p| cell(p) != 0) {
+            return Err(r.malformed());
+        }
+        for (i, info) in regions.iter().enumerate() {
+            // A decoded page return starts at index 0.
+            for p in info.pages_from(0) {
+                if cell(p) != i as u32 + 1 {
+                    return Err(r.malformed());
+                }
+                held.push(p.raw());
+            }
+        }
+        held.sort_unstable();
+        if held.windows(2).any(|w| w[0] == w[1]) {
+            return Err(r.malformed());
         }
         // -- stats and costs --
         r.section("stats");
@@ -2102,6 +2118,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             config,
             descs,
             regions,
+            spare_lists: Vec::new(),
             free_pages,
             map_root,
             map_mirror,
@@ -2257,10 +2274,11 @@ impl<H: HeapBackend> RegionRuntime<H> {
     ///
     /// Parked regions route by deletion phase: before or during the
     /// stack scan the region is still fully counted, so it walks like a
-    /// live one; mid-cleanup only the unprocessed remainder (from each
-    /// mark's cursor) still holds counts, since everything before a
-    /// cursor has been released and no longer holds decodable objects;
-    /// once only page returns remain the region contributes nothing.
+    /// live one; mid-cleanup only the unprocessed remainder (from the
+    /// cleanup's page and cursor) still holds counts, since everything
+    /// before the cursor has been released and no longer holds
+    /// decodable objects; once only page returns remain the region
+    /// contributes nothing.
     ///
     /// Every step is checked, so decoded heap bytes whose object headers
     /// are corrupt (a chaos bit-flip, say) stop the walk with the
@@ -2270,17 +2288,14 @@ impl<H: HeapBackend> RegionRuntime<H> {
     fn walk_objects(&self, mut field: impl FnMut(RegionId, Addr)) -> Result<u64, Addr> {
         let mut objects = 0;
         for (i, info) in self.regions.iter().enumerate() {
-            let walk: Vec<(Addr, u32)> = match &info.liveness {
-                Liveness::Live | Liveness::Parked(DeletePhase::ScanStack { .. }) => {
-                    info.normal.pages.clone()
-                }
-                Liveness::Parked(DeletePhase::Cleanup { marks }) => {
-                    marks.iter().map(|&(p, _, cursor)| (p, cursor)).collect()
-                }
+            let (from, cursor) = match info.liveness {
+                Liveness::Live | Liveness::Parked(DeletePhase::ScanStack { .. }) => (0, 0),
+                Liveness::Parked(DeletePhase::Cleanup { page, cursor }) => (page as usize, cursor),
                 Liveness::Parked(DeletePhase::ReturnPages { .. }) | Liveness::Dead => continue,
             };
             let owner = RegionId(i as u32);
-            for &(page, start) in &walk {
+            for (k, &(page, start)) in info.normal.pages.iter().enumerate().skip(from) {
+                let start = if k == from { cursor.max(start) } else { start };
                 let mut cur = page + start;
                 let end = page + PAGE_SIZE;
                 while cur + WORD <= end {
@@ -3425,6 +3440,64 @@ mod tests {
         rt.try_delete_region(r).unwrap();
         assert!(rt.free_pages.len() > pages_before);
         assert_eq!(*rt.costs(), SafetyCosts::default(), "unsafe mode never counts");
+    }
+
+    #[test]
+    fn restore_rejects_pages_held_by_the_wrong_owner() {
+        let mut rt = RegionRuntime::new_safe();
+        let d = list_desc(&mut rt);
+        let (b, a) = (rt.new_region(), rt.new_region());
+        let gone = rt.new_region();
+        for _ in 0..400 {
+            rt.ralloc(a, d);
+        }
+        rt.ralloc(b, d);
+        assert!(rt.delete_region(gone));
+        let (pa, pa1) = (rt.regions[1].normal.pages[0], rt.regions[1].normal.pages[1]);
+        let (pb, free) = (rt.regions[0].normal.pages[0], rt.free_pages[0]);
+        let bytes = rt.capture_snapshot();
+        assert!(RegionRuntime::restore_snapshot(&bytes).is_ok());
+        // Replaces the one occurrence of two consecutive words.
+        let edit = |from: [u32; 2], to: [u32; 2]| {
+            let le = |w: [u32; 2]| [w[0].to_le_bytes(), w[1].to_le_bytes()].concat();
+            let at: Vec<usize> = bytes.windows(8).enumerate().filter(|(_, w)| *w == le(from)).map(|(i, _)| i).collect();
+            assert_eq!(at.len(), 1, "{from:?} must occur once");
+            let mut doctored = bytes.clone();
+            doctored[at[0]..at[0] + 8].copy_from_slice(&le(to));
+            doctored
+        };
+        let rejected = |doctored: Vec<u8>| {
+            let got = RegionRuntime::restore_snapshot(&doctored).map(|_| ());
+            assert!(matches!(got, Err(SnapshotError::Malformed { section: "page-ownership", .. })), "{got:?}");
+        };
+        // a's page list names live b's page: deleting a would unown the
+        // page b's object lives on, and the next region would reuse it.
+        rejected(edit([pa.0.raw(), pa.1], [pb.0.raw(), pa.1]));
+        // a lists its own page twice (its second page goes unlisted).
+        rejected(edit([pa1.0.raw(), pa1.1], [pa.0.raw(), pa1.1]));
+        // The pool offers a page b still holds.
+        rejected(edit([1, free.raw()], [1, pb.0.raw()]));
+    }
+
+    #[test]
+    fn dead_regions_hand_their_page_lists_to_new_regions() {
+        for budget in [1, u64::MAX] {
+            let mut rt = RegionRuntime::new_safe();
+            let d = list_desc(&mut rt);
+            rt.set_delete_budget(budget);
+            for _ in 0..1000 {
+                let r = rt.new_region();
+                rt.ralloc(r, d);
+                rt.rstralloc(r, 8);
+                rt.try_delete_region(r).unwrap();
+                assert!(rt.spare_lists.len() <= 2, "{} spare lists", rt.spare_lists.len());
+            }
+            for info in &rt.regions {
+                assert_eq!(info.liveness, Liveness::Dead);
+                assert_eq!(info.normal.pages.capacity() + info.string.pages.capacity(), 0);
+            }
+            assert!(rt.sanitize().is_clean());
+        }
     }
 
     #[test]

@@ -555,3 +555,70 @@ fn untraced_runs_charge_what_the_traced_heap_performs() {
         assert_eq!(untraced, traced, "{}: untraced vs traced (loads, stores)", w.name());
     }
 }
+
+/// Tier-1 pin of the parked-deletion RSNP layout. A region with objects
+/// on two normal pages (each object pointing out of the region and
+/// along its own chain) and one string page is deleted at budget 1
+/// while the newest frame points into it; the refused attempt is
+/// followed by a successful one once the local is cleared. At every
+/// increment boundary — stack scan, mid-page cleanup, page return —
+/// the capture must hash as pinned, re-capture byte for byte after a
+/// restore, and, restored with the budget re-armed, finish on the
+/// straight-through end state.
+#[test]
+fn parked_deletion_captures_keep_their_pinned_hashes() {
+    use explicit_regions::region_core::{
+        DeleteProgress, RegionError, RegionId, RegionRuntime, TypeDescriptor,
+    };
+    use explicit_regions::simheap::Addr;
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+    // One budget-1 increment; `Err` is the refusal, after which the
+    // local holding the doomed region is cleared.
+    fn step(rt: &mut RegionRuntime, doomed: RegionId) -> Option<DeleteProgress> {
+        match rt.try_delete_region_step(doomed) {
+            Ok(progress) => Some(progress),
+            Err(RegionError::DeleteBlocked { .. }) => {
+                rt.set_local(0, Addr::NULL);
+                None
+            }
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    let mut rt = RegionRuntime::new_safe();
+    let node = rt.register_type(TypeDescriptor::new("pair", 60, vec![4, 32]));
+    let (keep, doomed) = (rt.new_region(), rt.new_region());
+    let target = rt.ralloc(keep, node);
+    let mut last = Addr::NULL;
+    for _ in 0..100 {
+        let x = rt.ralloc(doomed, node);
+        rt.store_ptr_region(x + 4, target);
+        rt.store_ptr_region(x + 32, last);
+        last = x;
+    }
+    rt.rstralloc(doomed, 500);
+    rt.push_frame(2);
+    rt.set_local(1, target);
+    rt.push_frame(1);
+    rt.set_local(0, last);
+    rt.set_delete_budget(1);
+
+    let mut captures = Vec::new();
+    while step(&mut rt, doomed) != Some(DeleteProgress::Done) {
+        captures.push(rt.capture_snapshot());
+    }
+    let end = rt.capture_snapshot();
+    let hashes: Vec<u8> = captures.iter().flat_map(|c| fnv(c).to_le_bytes()).collect();
+    let got = format!("{} boundaries, hash {:016x}, end {:016x}", captures.len(), fnv(&hashes), fnv(&end));
+    assert_eq!(got, "107 boundaries, hash 9a6b3c36a4f9f233, end d2be996683b4440b", "parked-deletion captures moved");
+    for (i, bytes) in captures.iter().enumerate() {
+        let mut back = RegionRuntime::restore_snapshot(bytes).unwrap_or_else(|e| panic!("boundary {i}: {e}"));
+        assert!(back.capture_snapshot() == *bytes, "boundary {i}: re-capture differs");
+        back.set_delete_budget(1);
+        while step(&mut back, doomed) != Some(DeleteProgress::Done) {}
+        assert!(back.capture_snapshot() == end, "boundary {i}: resumed deletion ends elsewhere");
+    }
+}
