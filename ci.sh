@@ -125,6 +125,15 @@ echo "== region service under adversity (deadlines, backpressure, quarantine) ==
 # quick books are pinned.
 out=$(REGION_SANITIZE=1 ./target/release/server --quick)
 pin "server books" "books 4d44ec2fd9b9b10a identical" "$out"
+# Bad input fails with a message and exit 2, never a panic or a silent
+# default: the removed --open-loop flag must be refused, not ignored.
+rc=0
+out=$(./target/release/server --quick --open-loop 5000 2>&1) || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "ci.sh: server --open-loop exited $rc, want 2" >&2
+    exit 1
+fi
+pin "server --open-loop refusal" "unknown argument: --open-loop" "$out"
 
 echo "== deleteregion budget sweep (inf vs 64 vs 1, DESIGN §17) =="
 # The server binary already asserts the encoded books byte-identical

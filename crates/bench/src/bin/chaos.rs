@@ -1508,7 +1508,6 @@ fn scenario_vm(seed: u64, ops: u64) -> Tally {
         workers: 4,
         deadline: Some(std::time::Duration::from_secs(120)),
         max_attempts: 1,
-        backoff: std::time::Duration::from_millis(1),
     };
     let reports = supervise(jobs, &cfg);
     let (mut finished, mut trapped) = (0u64, 0u64);
@@ -1608,7 +1607,6 @@ fn scenario_par(seed: u64, ops: u64) -> Tally {
         workers: PAR_JOBS,
         deadline: Some(std::time::Duration::from_secs(60)),
         max_attempts: 2,
-        backoff: std::time::Duration::from_millis(1),
     };
     for round in 0..rounds {
         let pool = ParRegionPool::new();

@@ -207,7 +207,6 @@ fn main() {
         workers: bench_workers(),
         deadline: Some(Duration::from_secs(120)),
         max_attempts: 1,
-        backoff: Duration::from_millis(1),
     };
     let reports = supervise(jobs, &cfg);
     let mut runs: Vec<Option<RunRec>> = Vec::new();

@@ -4,7 +4,7 @@
 //! A fleet of sessions serves seeded request traffic on one shared
 //! address space: every request creates a region, allocates into it
 //! and deletes it. The run interleaves injected allocation faults
-//! (bounded deterministic retry with linear backoff), injected worker
+//! (bounded deterministic retry into a fresh region), injected worker
 //! panics (each strands a half-served request region in its session's
 //! runtime, which the batch's retry reclaims while the fleet keeps
 //! serving), and footprint watermarks (degrade, then shed with a typed
@@ -21,8 +21,12 @@
 //! plus the richer `BENCH_server.json` record, to `results/server.json`
 //! and the repo root. Under `--quick` both go to `target/quick-results/`,
 //! so a smoke run never overwrites the committed default-scale records.
+//!
+//! Usage: `server [--quick] [--seed <n>] [--delete-budget <n|inf>]`. Any
+//! other argument prints that usage and exits 2.
 
 use bench_harness::runner::{write_bench_record, write_results_json};
+use bench_harness::server::{INDEX_ALLOCS, MAX_ATTEMPTS};
 use bench_harness::{install_service_panic_filter, run_service, Measurement, ServiceConfig, ServiceReport};
 
 /// Thread counts the books must be invariant across. The last entry is
@@ -67,6 +71,8 @@ fn print_report(threads: usize, r: &ServiceReport) {
     );
 }
 
+const USAGE: &str = "usage: server [--quick] [--seed <n>] [--delete-budget <n|inf>]";
+
 fn need(args: &mut std::env::Args, flag: &str) -> String {
     args.next().unwrap_or_else(|| {
         eprintln!("{flag} needs a value");
@@ -76,15 +82,16 @@ fn need(args: &mut std::env::Args, flag: &str) -> String {
 
 fn main() {
     install_service_panic_filter();
-    let quick = std::env::args().any(|a| a == "--quick");
     let mut args = std::env::args();
+    args.next(); // the program name
+    let mut quick = false;
     let mut seed = 42u64;
     // Recorded default: incremental deletion under a 64-unit budget.
     // `--delete-budget inf` reproduces the stop-the-world profile.
     let mut delete_budget = 64u64;
-    let mut open_loop_period_ns = 0u64;
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--quick" => quick = true,
             "--seed" => {
                 let v = need(&mut args, "--seed");
                 seed = v.parse().unwrap_or_else(|_| {
@@ -107,19 +114,14 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-            "--open-loop" => {
-                let v = need(&mut args, "--open-loop");
-                open_loop_period_ns = v.parse().unwrap_or_else(|_| {
-                    eprintln!("bad open-loop period (want nanoseconds): {v}");
-                    std::process::exit(2);
-                });
+            _ => {
+                eprintln!("unknown argument: {a}\n{USAGE}");
+                std::process::exit(2);
             }
-            _ => {}
         }
     }
     let mut cfg = if quick { ServiceConfig::quick(seed) } else { ServiceConfig::full(seed) };
     cfg.delete_budget = delete_budget;
-    cfg.open_loop_period_ns = open_loop_period_ns;
     if std::env::var("REGION_SANITIZE").is_ok_and(|v| v == "1") {
         cfg.sanitize_rounds = true;
     }
@@ -246,7 +248,7 @@ fn main() {
          \"requests_per_session\": {}, \"rounds\": {}, \"soft_pages\": {}, \
          \"hard_pages\": {}, \"max_attempts\": {}, \"fault_one_in\": {}, \
          \"panic_one_in\": {}, \"delete_budget\": \"{budget_str}\", \
-         \"index_allocs\": {}, \"index_rotate\": {}, \"open_loop_period_ns\": {} }},\n  \
+         \"index_allocs\": {}, \"index_rotate\": {} }},\n  \
          \"ledger\": {{ \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
          \"failed\": {}, \"retries\": {}, \"degraded\": {}, \"faults\": {}, \
          \"panics\": {} }},\n  \
@@ -265,12 +267,11 @@ fn main() {
         cfg.rounds,
         cfg.marks.soft_pages,
         cfg.marks.hard_pages,
-        cfg.max_attempts,
+        MAX_ATTEMPTS,
         cfg.fault_one_in,
         cfg.panic_one_in,
-        cfg.index_allocs,
+        INDEX_ALLOCS,
         cfg.index_rotate,
-        cfg.open_loop_period_ns,
         l.submitted,
         l.completed,
         l.shed,

@@ -285,39 +285,6 @@ pub fn run_matrix(jobs: &[Job], scale: u32, traced: bool) -> Vec<Measurement> {
     run_matrix_with(jobs, scale, traced, bench_workers())
 }
 
-/// [`run_matrix`] warm-started from a captured heap snapshot: the pool
-/// is pre-seeded with one heap restored from `image` per worker, so a
-/// cell's first run adopts memory already grown to the snapshot's break
-/// instead of paying workload setup's `sbrk` growth on a cold heap.
-/// Environments reset adopted heaps before use, so every deterministic
-/// field — checksums, counters, footprints, traces — is bit-identical
-/// to a cold start (asserted by `warm_start_from_snapshot_matches_cold`);
-/// only host-allocation reuse differs.
-pub fn run_matrix_from_snapshot(
-    jobs: &[Job],
-    scale: u32,
-    traced: bool,
-    image: &simheap::HeapImage,
-) -> Vec<Measurement> {
-    let workers = bench_workers();
-    let seed: Vec<SimHeap> =
-        (0..workers.min(jobs.len())).map(|_| SimHeap::from_image(image)).collect();
-    let rows = run_matrix_checked_seeded(jobs, scale, traced, workers, seed);
-    let failures: Vec<String> = rows
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().err().map(|e| format!("{:?}: {e}", jobs[i])))
-        .collect();
-    assert!(
-        failures.is_empty(),
-        "{} of {} matrix cells failed:\n  {}",
-        failures.len(),
-        jobs.len(),
-        failures.join("\n  ")
-    );
-    rows.into_iter().map(|r| r.expect("failures checked above")).collect()
-}
-
 /// The worker count benches fan across: `BENCH_WORKERS` if set (min 1),
 /// else the machine's available parallelism. Recorded in every
 /// `results/*.json` envelope so multi-core reruns are comparable with
@@ -381,26 +348,13 @@ pub fn run_matrix_checked(
     traced: bool,
     workers: usize,
 ) -> Vec<Result<Measurement, String>> {
-    run_matrix_checked_seeded(jobs, scale, traced, workers, Vec::new())
-}
-
-/// [`run_matrix_checked`] with the warm pool pre-seeded (restored
-/// snapshot heaps for [`run_matrix_from_snapshot`], empty for a cold
-/// start).
-fn run_matrix_checked_seeded(
-    jobs: &[Job],
-    scale: u32,
-    traced: bool,
-    workers: usize,
-    seed: Vec<SimHeap>,
-) -> Vec<Result<Measurement, String>> {
     let cfg = SuperviseConfig { workers, ..SuperviseConfig::default() };
     // Warm heap pool: finished cells return their SimHeap and the next
     // cell adopts it (reset-and-reuse), so a long matrix allocates ~one
     // heap per worker instead of one per cell. A cell that panics drops
     // its heap with the unwound environment — a possibly-corrupt heap is
     // never recycled, keeping fault containment intact.
-    let pool: Arc<Mutex<Vec<SimHeap>>> = Arc::new(Mutex::new(seed));
+    let pool: Arc<Mutex<Vec<SimHeap>>> = Arc::new(Mutex::new(Vec::new()));
     let closures: Vec<_> = jobs
         .iter()
         .map(|&job| {
@@ -891,36 +845,6 @@ mod tests {
         let fresh = traced_jobs[0].run(1, true);
         assert_eq!(rows[0].cache, fresh.cache);
         assert_eq!(rows[1].cache, fresh.cache, "recycled heap must trace identically");
-    }
-
-    #[test]
-    fn warm_start_from_snapshot_matches_cold() {
-        // A heap image captured after a real run is already grown to that
-        // run's break; warm-starting the matrix from it must change no
-        // deterministic field relative to cold empty heaps.
-        let (_, heap) =
-            measure_region_on(Workload::Tile, RegionKind::Safe, 1, false, SimHeap::new());
-        let image = heap.capture_image();
-        let jobs = [
-            Job::Region(Workload::Tile, RegionKind::Safe),
-            Job::Malloc(Workload::Cfrac, MallocKind::Lea),
-            Job::Region(Workload::Cfrac, RegionKind::Unsafe),
-            Job::Malloc(Workload::Tile, MallocKind::Bsd),
-        ];
-        let cold: Vec<Measurement> = jobs.iter().map(|j| j.run(1, false)).collect();
-        let warm = run_matrix_from_snapshot(&jobs, 1, false, &image);
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.checksum, w.checksum, "{}/{}", c.workload, c.allocator);
-            assert_eq!(c.os_pages, w.os_pages, "{}/{}", c.workload, c.allocator);
-            assert_eq!(c.stats, w.stats, "{}/{}", c.workload, c.allocator);
-            assert_eq!(c.costs, w.costs, "{}/{}", c.workload, c.allocator);
-        }
-        // Traced cells adopt the snapshot heap too: cache counters must
-        // stay bit-identical to a cold traced run.
-        let traced_jobs = [Job::Malloc(Workload::Tile, MallocKind::Gc)];
-        let warm = run_matrix_from_snapshot(&traced_jobs, 1, true, &image);
-        let cold = traced_jobs[0].run(1, true);
-        assert_eq!(warm[0].cache, cold.cache, "snapshot heap must trace identically");
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!
 //! * **deadlines + retry** — each (session × round) batch runs under
 //!   [`crate::supervise`], whose watchdog is the coordinating thread
-//!   itself (it waits out the round); a worker panic is retried once with
-//!   deterministic linear backoff, and an injected allocation fault
-//!   replays the failed request into a *fresh region* up to
-//!   [`ServiceConfig::max_attempts`] times with the same backoff law;
+//!   itself (it waits out the round); a worker panic is retried once,
+//!   and an injected allocation fault replays the failed request into a
+//!   *fresh region*, at most [`MAX_ATTEMPTS`] times in all;
 //! * **admission control** — every request is admitted against
 //!   [`region_core::Watermarks`] on the observed simulated-OS
 //!   footprint: below soft it runs unchanged, in `[soft, hard)` it runs
@@ -66,6 +65,26 @@ use crate::supervise::{supervise, JobOutcome, SuperviseConfig};
 /// for standalone binaries.
 pub const SERVICE_PANIC_MARKER: &str = "par-chaos injected panic [service worker]";
 
+/// Attempts per request against injected allocation faults: each one
+/// replays the whole request into a fresh region, with no wait between
+/// attempts.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Pointer-bearing index entries allocated per completed request into
+/// the session's rotating index region. Each entry holds two counted
+/// pointers into the cache region, so deleting the index is a real
+/// Figure-7 cleanup walk.
+pub const INDEX_ALLOCS: u32 = 24;
+
+/// Per-batch deadline handed to [`crate::supervise`] and enforced by the
+/// coordinating thread as watchdog. Generous by design: it is a liveness
+/// backstop, and a fired timeout (unlike every other failure here) would
+/// not be deterministic.
+const BATCH_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Size of the shared address space.
+const SPACE_MAX_BYTES: u64 = 256 << 20;
+
 /// Full configuration of one service run. `Copy` on purpose: jobs
 /// capture it by value, and every field is a scalar so a config can be
 /// logged or folded without ceremony.
@@ -86,17 +105,6 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Soft/hard admission watermarks on the simulated OS footprint.
     pub marks: Watermarks,
-    /// Attempts per request when allocation faults are injected (min 1).
-    pub max_attempts: u32,
-    /// Linear-backoff base: retry `n` sleeps `backoff * n` first. Used
-    /// both for in-request fault retries and for the supervisor's
-    /// panic retries.
-    pub backoff: Duration,
-    /// Per-batch deadline handed to [`crate::supervise`] and enforced by
-    /// the coordinating thread as watchdog. Generous by design: it is a
-    /// liveness backstop, and a fired timeout (unlike every other
-    /// failure here) would not be deterministic.
-    pub deadline: Option<Duration>,
     /// Fail one in this many region allocations via
     /// [`region_core::FaultPlan`] (0 disables fault injection).
     pub fault_one_in: u64,
@@ -104,8 +112,6 @@ pub struct ServiceConfig {
     /// panic crashes its worker on the batch's first attempt, stranding
     /// a half-served request region for the retry to reclaim.
     pub panic_one_in: u64,
-    /// Size of the shared address space.
-    pub space_max_bytes: u64,
     /// Run the region sanitizer on every session at every round
     /// barrier (O(heap) — chaos and `REGION_SANITIZE=1` runs want it,
     /// throughput measurements do not).
@@ -118,23 +124,10 @@ pub struct ServiceConfig {
     /// work is timed, never what work happens — books are identical
     /// across budgets.
     pub delete_budget: u64,
-    /// Pointer-bearing index entries allocated per completed request
-    /// into the session's rotating index region (0 disables the index).
-    /// Each entry holds two counted pointers into the cache region, so
-    /// deleting the index is a real Figure-7 cleanup walk.
-    pub index_allocs: u32,
     /// Completed requests between index rotations (0 = never rotate).
     /// Each rotation deletes the accumulated index region in-path —
     /// the service's dominant pause, and the one the budget bounds.
     pub index_rotate: u32,
-    /// Open-loop arrival period in nanoseconds (0 = closed loop).
-    /// When set, request `i` of each session is scheduled to arrive at
-    /// `session epoch + i * period + jitter` on a seeded deterministic
-    /// schedule; queueing delay (service start minus scheduled
-    /// arrival) is measured separately from service time into
-    /// [`ServiceReport::queue_ns`]. Arrival timing never touches the
-    /// heap, so the books are identical to the closed-loop run.
-    pub open_loop_period_ns: u64,
 }
 
 impl ServiceConfig {
@@ -148,20 +141,11 @@ impl ServiceConfig {
             rounds: 8,
             threads: 2,
             marks: Watermarks::new(170, 200),
-            max_attempts: 3,
-            // Zero backoff: retries spin immediately. The old 40 µs
-            // linear backoff put `thread::sleep` wake-up latency — not
-            // region work — at the top of the latency tail.
-            backoff: Duration::ZERO,
-            deadline: Some(Duration::from_secs(30)),
             fault_one_in: 23,
             panic_one_in: 61,
-            space_max_bytes: 256 << 20,
             sanitize_rounds: false,
             delete_budget: u64::MAX,
-            index_allocs: 24,
             index_rotate: 45,
-            open_loop_period_ns: 0,
         }
     }
 
@@ -282,10 +266,6 @@ pub struct ServiceReport {
     /// when the budget is unbounded), sorted ascending, in
     /// nanoseconds. Reported, never encoded.
     pub pause_ns: Vec<u64>,
-    /// Open-loop queueing delays (service start minus scheduled
-    /// arrival), sorted ascending, in nanoseconds. Empty in
-    /// closed-loop runs. Reported, never encoded.
-    pub queue_ns: Vec<u64>,
     /// Wall clock of the whole run.
     pub elapsed: Duration,
 }
@@ -334,17 +314,6 @@ impl ServiceReport {
     /// Worst single `deleteregion` pause in (fractional) microseconds.
     pub fn pause_max_us(&self) -> f64 {
         self.pause_ns.last().copied().unwrap_or(0) as f64 / 1_000.0
-    }
-
-    /// Median open-loop queueing delay in (fractional) microseconds.
-    pub fn queue_p50_us(&self) -> f64 {
-        quantile_sorted(&self.queue_ns, 50, 100) as f64 / 1_000.0
-    }
-
-    /// 99th-percentile open-loop queueing delay in (fractional)
-    /// microseconds.
-    pub fn queue_p99_us(&self) -> f64 {
-        quantile_sorted(&self.queue_ns, 99, 100) as f64 / 1_000.0
     }
 
     /// Resolved requests per second over the run's wall clock.
@@ -456,10 +425,6 @@ struct SessionSlot {
     round_start_pages: u64,
     lat_ns: Vec<u64>,
     pause_ns: Vec<u64>,
-    queue_ns: Vec<u64>,
-    /// Wall-clock origin of this session's open-loop arrival schedule,
-    /// pinned when it serves its first request.
-    epoch: Option<Instant>,
 }
 
 fn lock(slot: &Arc<Mutex<SessionSlot>>) -> MutexGuard<'_, SessionSlot> {
@@ -525,13 +490,11 @@ fn serve_one(
     }
 
     // Bounded retry against injected allocation faults: each attempt
-    // replays the whole request into a fresh region, preceded by the
-    // deterministic linear backoff `backoff * retry`.
+    // replays the whole request into a fresh region.
     let mut ok = false;
-    for a in 1..=cfg.max_attempts.max(1) {
+    for a in 1..=MAX_ATTEMPTS {
         if a > 1 {
             slot.ledger.retries += 1;
-            std::thread::sleep(cfg.backoff.saturating_mul(a - 1));
         }
         match attempt_request(slot, &plan) {
             Ok(d) => {
@@ -624,16 +587,13 @@ fn grow_cache(slot: &mut SessionSlot, bytes: u32) -> Addr {
     }
 }
 
-/// Appends [`ServiceConfig::index_allocs`] pointer-bearing entries to
+/// Appends [`INDEX_ALLOCS`] pointer-bearing entries to
 /// the session's rotating index region, each pointing (twice, through
 /// counted write barriers) at the request's cache block, then rotates —
 /// deletes the whole index through the deletion budget — every
 /// [`ServiceConfig::index_rotate`] completions. Allocation faults are
 /// tolerated exactly like cache growth.
 fn grow_index(slot: &mut SessionSlot, cfg: ServiceConfig, target: Addr) {
-    if cfg.index_allocs == 0 {
-        return;
-    }
     if slot.index.is_none() {
         match slot.rt.try_new_region() {
             Ok(r) => slot.index = Some(r),
@@ -645,7 +605,7 @@ fn grow_index(slot: &mut SessionSlot, cfg: ServiceConfig, target: Addr) {
         }
     }
     let ir = slot.index.expect("just ensured");
-    for _ in 0..cfg.index_allocs {
+    for _ in 0..INDEX_ALLOCS {
         match slot.rt.try_ralloc(ir, slot.index_desc) {
             Ok(a) => {
                 if !target.is_null() {
@@ -694,7 +654,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
     let cfg = *cfg;
     assert!(cfg.sessions >= 1 && cfg.sessions <= 255, "sessions must be 1..=255");
     let started = Instant::now();
-    let space = SharedSpace::new(SpaceConfig { max_bytes: cfg.space_max_bytes, workers: cfg.sessions });
+    let space = SharedSpace::new(SpaceConfig { max_bytes: SPACE_MAX_BYTES, workers: cfg.sessions });
 
     let slots: Vec<Arc<Mutex<SessionSlot>>> = (0..cfg.sessions)
         .map(|s| {
@@ -725,8 +685,6 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                 round_start_pages: 0,
                 lat_ns: Vec::new(),
                 pause_ns: Vec::new(),
-                queue_ns: Vec::new(),
-                epoch: None,
             }))
         })
         .collect();
@@ -773,36 +731,8 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
                         }
                         while s.next_req < hi {
                             let req = s.next_req;
-                            // Open-loop arrivals: request `req` is due at
-                            // `epoch + req * period + jitter` on a seeded
-                            // schedule that ignores service times. Early →
-                            // sleep until due (zero queueing delay); late →
-                            // the overshoot is queueing delay, measured
-                            // separately from service time. Never touches
-                            // the heap, so the books are period-invariant.
-                            let mut queued = 0u64;
-                            if cfg.open_loop_period_ns > 0 {
-                                let epoch = *s.epoch.get_or_insert_with(Instant::now);
-                                let mut arng = Rng::seeded(fold(
-                                    fold(cfg.seed ^ 0x0a11, u64::from(session)),
-                                    u64::from(req),
-                                ));
-                                let jitter = arng.below(cfg.open_loop_period_ns / 2 + 1);
-                                let due = u64::from(req) * cfg.open_loop_period_ns + jitter;
-                                let now = epoch.elapsed().as_nanos() as u64;
-                                if now < due {
-                                    std::thread::sleep(Duration::from_nanos(due - now));
-                                } else {
-                                    queued = now - due;
-                                }
-                            }
                             match serve_one(&mut s, cfg, base, session, req, attempt) {
-                                Served::Done => {
-                                    if cfg.open_loop_period_ns > 0 {
-                                        s.queue_ns.push(queued);
-                                    }
-                                    s.next_req += 1;
-                                }
+                                Served::Done => s.next_req += 1,
                                 Served::PanicNow => {
                                     panic_now = true;
                                     break;
@@ -825,9 +755,8 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
             jobs,
             &SuperviseConfig {
                 workers: cfg.threads.max(1),
-                deadline: cfg.deadline,
+                deadline: Some(BATCH_DEADLINE),
                 max_attempts: 2,
-                backoff: cfg.backoff,
             },
         );
 
@@ -891,7 +820,6 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
     let mut per_session = Vec::with_capacity(slots.len());
     let mut lat_ns = Vec::new();
     let mut pause_ns = Vec::new();
-    let mut queue_ns = Vec::new();
     let mut final_pages = 0u64;
     for slot in &slots {
         let mut s = lock(slot);
@@ -913,11 +841,9 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         final_pages += own_pages(&s.rt);
         lat_ns.append(&mut s.lat_ns);
         pause_ns.append(&mut s.pause_ns);
-        queue_ns.append(&mut s.queue_ns);
     }
     lat_ns.sort_unstable();
     pause_ns.sort_unstable();
-    queue_ns.sort_unstable();
     assert!(fleet.conserves(), "final ledger does not conserve: {fleet:?}");
     assert_eq!(
         fleet.submitted,
@@ -936,7 +862,6 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         sanitize_runs,
         lat_ns,
         pause_ns,
-        queue_ns,
         elapsed: started.elapsed(),
     }
 }
@@ -974,8 +899,6 @@ mod tests {
             marks: Watermarks::new(10, 16),
             fault_one_in: 7,
             panic_one_in: 11,
-            backoff: Duration::from_micros(1),
-            index_allocs: 2,
             index_rotate: 6, // several in-run rotations across 24 requests
             ..ServiceConfig::full(seed)
         }
@@ -1050,7 +973,6 @@ mod tests {
         assert!(r.throughput_rps() > 0.0);
         assert!(!r.pause_ns.is_empty(), "index rotation never paused the service");
         assert!(r.pause_p50_us() <= r.pause_p99_us());
-        assert!(r.queue_ns.is_empty(), "closed-loop run measured queueing delay");
     }
 
     #[test]
@@ -1070,16 +992,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn open_loop_measures_queueing_without_touching_the_books() {
-        install_service_panic_filter();
-        let closed = run_service(&tiny(21));
-        let cfg = ServiceConfig { open_loop_period_ns: 5_000, ..tiny(21) };
-        let open = run_service(&cfg);
-        assert_eq!(closed.encode_books(), open.encode_books(), "arrival timing leaked into books");
-        assert_eq!(open.queue_ns.len() as u64, open.ledger.submitted);
-        assert!(open.queue_p50_us() <= open.queue_p99_us());
     }
 }

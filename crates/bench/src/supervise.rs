@@ -1,11 +1,11 @@
 //! Supervised job execution: `catch_unwind` containment, per-job
-//! deadlines, and bounded deterministic retry.
+//! deadlines, and bounded retry.
 //!
 //! [`supervise`] generalizes what `run_matrix_checked` did for benchmark
 //! cells to arbitrary jobs: every job runs under
 //! [`std::panic::catch_unwind`], optionally under a per-attempt deadline,
-//! and is retried a bounded number of times with a deterministic linear
-//! backoff. The caller gets a structured [`WorkerReport`] per job —
+//! and a panicked attempt is retried at once, a bounded number of times.
+//! The caller gets a structured [`WorkerReport`] per job —
 //! completed, panicked (with the decoded message), or timed out — in
 //! job order, regardless of completion order.
 //!
@@ -51,19 +51,11 @@ pub struct SuperviseConfig {
     /// Maximum attempts per job (min 1). A job that panics on its last
     /// attempt is reported [`JobOutcome::Panicked`].
     pub max_attempts: u32,
-    /// Base of the deterministic linear backoff: attempt `n` (1-based
-    /// retry) is preceded by a sleep of `backoff * n`.
-    pub backoff: Duration,
 }
 
 impl Default for SuperviseConfig {
     fn default() -> SuperviseConfig {
-        SuperviseConfig {
-            workers: 1,
-            deadline: None,
-            max_attempts: 1,
-            backoff: Duration::from_millis(1),
-        }
+        SuperviseConfig { workers: 1, deadline: None, max_attempts: 1 }
     }
 }
 
@@ -209,7 +201,7 @@ impl<F> Crew<F> {
     }
 
     /// Runs the attempts of `job` inline under `catch_unwind`, retrying
-    /// panics with backoff until one is terminal. `false` if the
+    /// panics at once until one is terminal. `false` if the
     /// watchdog abandoned an attempt.
     fn run_job<T>(&self, job: usize, tx: &Sender<Event<T>>) -> bool
     where
@@ -218,10 +210,6 @@ impl<F> Crew<F> {
         let max_attempts = self.cfg.max_attempts.max(1);
         let mut attempt = 0;
         loop {
-            if attempt > 0 {
-                // Deterministic linear backoff before each retry.
-                std::thread::sleep(self.cfg.backoff.saturating_mul(attempt));
-            }
             let claim = Arc::new(AtomicBool::new(false));
             // Sends fail only once `supervise` has returned (after this
             // worker was abandoned); the result is then unwanted.
@@ -410,12 +398,8 @@ mod tests {
             }),
             Box::new(|_| 7),
         ]);
-        let cfg = SuperviseConfig {
-            workers: 2,
-            deadline: Some(Duration::from_millis(50)),
-            max_attempts: 2,
-            ..SuperviseConfig::default()
-        };
+        let cfg =
+            SuperviseConfig { workers: 2, deadline: Some(Duration::from_millis(50)), max_attempts: 2 };
         let reports = supervise(jobs, &cfg);
         assert_eq!(reports[0].outcome, JobOutcome::TimedOut(Duration::from_millis(50)));
         assert_eq!(reports[0].attempts, 1, "a timeout is terminal even with retries left");
@@ -437,12 +421,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let cfg = SuperviseConfig {
-                workers: 2,
-                deadline,
-                max_attempts: 2,
-                backoff: Duration::ZERO,
-            };
+            let cfg = SuperviseConfig { workers: 2, deadline, max_attempts: 2 };
             let reports = supervise(jobs, &cfg);
             let mut ids = std::collections::HashSet::new();
             for (j, r) in reports.into_iter().enumerate() {

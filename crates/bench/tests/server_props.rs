@@ -3,8 +3,6 @@
 //! `(seed, watermarks)` — never of the OS schedule — and a crashed
 //! session must be invisible in its neighbours' ledgers.
 
-use std::time::Duration;
-
 use bench_harness::{install_service_panic_filter, run_service, ServiceConfig};
 use region_core::Watermarks;
 
@@ -19,7 +17,6 @@ fn tiny(seed: u64) -> ServiceConfig {
     cfg.marks = Watermarks::new(10, 16);
     cfg.fault_one_in = 7;
     cfg.panic_one_in = 11;
-    cfg.backoff = Duration::from_micros(1);
     cfg
 }
 

@@ -6,6 +6,12 @@ use explicit_regions::cq_lang::{compile, Vm};
 use explicit_regions::region_core::SafetyMode;
 use explicit_regions::workloads::{MallocEnv, MallocKind, RegionEnv, RegionKind, Workload};
 
+/// FNV-1a over a byte string: the hash the pinned captures and books
+/// were recorded with.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Every workload computes the same answer under every memory manager —
 /// the correctness anchor of the whole evaluation.
 #[test]
@@ -512,6 +518,22 @@ fn service_books_match_their_quick_pin() {
     }
 }
 
+/// The full-scale service books at perfbench's shape (2 threads, budget
+/// 64) keep their pinned digest and encoded-books hash. perfbench only
+/// compares full-scale books against a same-seed rerun, and the quick
+/// pin runs smaller watermarks and rotations, so this is what catches a
+/// drift in the full configuration or the service's fixed constants
+/// (attempts, index entries, space size). Recorded at 7bbc474, before
+/// those constants were fields of `ServiceConfig`.
+#[test]
+fn service_books_match_their_full_scale_pin() {
+    use bench_harness::server::{run_service, ServiceConfig};
+
+    let report = run_service(&ServiceConfig { threads: 2, delete_budget: 64, ..ServiceConfig::full(42) });
+    let got = format!("digest {:016x}, books {:016x}", report.digest, fnv(&report.encode_books()));
+    assert_eq!(got, "digest 69afdf9831478a8c, books 7fdb1688843b8f9f", "full-scale service books moved");
+}
+
 /// Tier-1 reach of the four fresh-recording trace pins: grobner's,
 /// mudlle's, lcc's and moss's safe-region streams at scale 1 keep the
 /// access count and stream hash that `fig10 --quick --record-golden`
@@ -572,9 +594,6 @@ fn parked_deletion_captures_keep_their_pinned_hashes() {
     };
     use explicit_regions::simheap::Addr;
 
-    fn fnv(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-    }
     // One budget-1 increment; `Err` is the refusal, after which the
     // local holding the doomed region is cleared.
     fn step(rt: &mut RegionRuntime, doomed: RegionId) -> Option<DeleteProgress> {
