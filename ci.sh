@@ -122,7 +122,9 @@ echo "== region service under adversity (deadlines, backpressure, quarantine) ==
 # ledger conserved, every region a crash stranded reclaimed by its
 # retry. The committed BENCH_server.json is the full-scale record; the
 # quick rerun goes to target/quick-results/ so it can't clobber it. The
-# quick books are pinned.
+# quick books are pinned. The binary's first arm runs on a fresh host and
+# the other four on the warm host the arm before left (DESIGN §16.2), so
+# the pin also covers host reuse.
 out=$(REGION_SANITIZE=1 ./target/release/server --quick)
 pin "server books" "books 4d44ec2fd9b9b10a identical" "$out"
 # Bad input fails with a message and exit 2, never a panic or a silent

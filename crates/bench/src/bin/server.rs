@@ -240,7 +240,12 @@ fn main() {
          (bounded vs stop-the-world); ledger conserved (submitted == completed + shed + \
          failed); clean audit and sanitize every round. Latencies and pauses are wall clock \
          and excluded from the books; latency_stw_us replays the identical run with the \
-         monolithic deleteregion for the pause-time A/B.",
+         monolithic deleteregion for the pause-time A/B. The five arms run in one process: \
+         the first (1 thread) on a fresh host, the other four (2 and {last} threads, the \
+         same-seed rerun and the opposite-budget run) on the warm host the arm before left \
+         (DESIGN 16.2). Of the {last}-thread arm and the opposite-budget arm, the one with \
+         the bounded budget gives latency_us and pause_us and the other latency_stw_us and \
+         pause_stw_us; both are warm.",
         cfg.sessions,
     );
     let body = format!(

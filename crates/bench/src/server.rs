@@ -47,8 +47,20 @@
 //!   reclaimed regions, summed over the sessions at each barrier;
 //! * wall-clock latencies are measured and reported but excluded from
 //!   the digest and the encoded books.
+//!
+//! # The warm host
+//!
+//! An episode runs on a *host*: one [`RegionRuntime`] per session, each
+//! on its shard of one [`SharedSpace`]. [`run_service`] takes the host
+//! the previous episode in the process left behind when it has as many
+//! sessions, and builds a fresh one otherwise; every episode starts by
+//! resetting each runtime ([`RegionRuntime::reset`]), so a reused host
+//! replays a fresh one's books bit for bit. What reuse keeps is host
+//! memory only — region tables, page-map mirrors, page lists, the
+//! buffers of born pages — so after the first episode in a process no
+//! request has to grow them inside its latency window.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use region_core::{
@@ -645,20 +657,65 @@ fn drain_delete(slot: &mut SessionSlot, r: RegionId) {
     }
 }
 
+/// The host state a service episode runs on: one runtime per session,
+/// each on its own shard of one shared address space.
+pub(crate) struct Host {
+    runtimes: Vec<RegionRuntime<HeapShard>>,
+}
+
+impl Host {
+    /// A host on a new shared space carved into `sessions` shards.
+    pub(crate) fn fresh(sessions: u32) -> Host {
+        let space = SharedSpace::new(SpaceConfig { max_bytes: SPACE_MAX_BYTES, workers: sessions });
+        let runtimes = (0..sessions)
+            .map(|s| RegionRuntime::with_config_on(RegionConfig::default(), space.shard(s)))
+            .collect();
+        Host { runtimes }
+    }
+
+    /// `warm` when it has `sessions` sessions, a fresh host otherwise.
+    fn reuse(warm: Option<Host>, sessions: u32) -> Host {
+        warm.filter(|h| h.sessions() == sessions).unwrap_or_else(|| Host::fresh(sessions))
+    }
+
+    fn sessions(&self) -> u32 {
+        self.runtimes.len() as u32
+    }
+}
+
+/// The host the last finished episode in the process left behind.
+static WARM_HOST: Mutex<Option<Host>> = Mutex::new(None);
+
 /// Runs the full service and returns its report. Panics (failing the
 /// harness) if any internal invariant breaks: an escaped worker panic,
 /// crash residue that was not stranded and reclaimed once per panic, a
 /// non-conserving ledger at a round barrier, or a dirty sanitize pass
 /// when [`ServiceConfig::sanitize_rounds`] is on.
+///
+/// The episode runs on the warm host when it has `cfg.sessions`
+/// sessions, on a fresh host otherwise, and leaves its host warm for
+/// the next call; an episode that panics takes its host with it.
 pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
-    let cfg = *cfg;
     assert!(cfg.sessions >= 1 && cfg.sessions <= 255, "sessions must be 1..=255");
-    let started = Instant::now();
-    let space = SharedSpace::new(SpaceConfig { max_bytes: SPACE_MAX_BYTES, workers: cfg.sessions });
+    let warm = WARM_HOST.lock().unwrap_or_else(PoisonError::into_inner).take();
+    let (report, host) = run_episode(cfg, Host::reuse(warm, cfg.sessions));
+    *WARM_HOST.lock().unwrap_or_else(PoisonError::into_inner) = Some(host);
+    report
+}
 
-    let slots: Vec<Arc<Mutex<SessionSlot>>> = (0..cfg.sessions)
-        .map(|s| {
-            let mut rt = RegionRuntime::with_config_on(RegionConfig::default(), space.shard(s));
+/// One episode of [`run_service`] on `host`, which must have
+/// `cfg.sessions` sessions; returns the report and the host.
+pub(crate) fn run_episode(cfg: &ServiceConfig, mut host: Host) -> (ServiceReport, Host) {
+    let cfg = *cfg;
+    assert_eq!(host.sessions(), cfg.sessions, "a host serves a fixed number of sessions");
+    let started = Instant::now();
+
+    let slots: Vec<Arc<Mutex<SessionSlot>>> = host
+        .runtimes
+        .drain(..)
+        .zip(0u32..)
+        .map(|(mut rt, s)| {
+            rt.reset(RegionConfig::default());
             if cfg.fault_one_in > 0 {
                 rt.set_fault_plan(
                     region_core::FaultPlan::seeded(fold(cfg.seed, 0x5eed ^ u64::from(s)))
@@ -815,14 +872,17 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
     }
 
     // Teardown: drop the cache regions, fold each session's books in
-    // session order, and run a final sanitize pass per session.
+    // session order, run a final sanitize pass per session, and hand
+    // each runtime back to the host. The round's jobs are gone, so each
+    // slot has one owner again.
     let mut fleet = Ledger::default();
     let mut per_session = Vec::with_capacity(slots.len());
     let mut lat_ns = Vec::new();
     let mut pause_ns = Vec::new();
     let mut final_pages = 0u64;
-    for slot in &slots {
-        let mut s = lock(slot);
+    for slot in slots {
+        let slot = Arc::try_unwrap(slot).unwrap_or_else(|_| panic!("a session job outlived its episode"));
+        let mut s = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Index before cache: index entries hold counted references into
         // the cache, so the cache delete would be refused while they live.
         if let Some(ir) = s.index.take() {
@@ -841,6 +901,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         final_pages += own_pages(&s.rt);
         lat_ns.append(&mut s.lat_ns);
         pause_ns.append(&mut s.pause_ns);
+        host.runtimes.push(s.rt);
     }
     lat_ns.sort_unstable();
     pause_ns.sort_unstable();
@@ -851,7 +912,7 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         "requests lost or invented"
     );
 
-    ServiceReport {
+    let report = ServiceReport {
         ledger: fleet,
         per_session,
         digest,
@@ -863,7 +924,8 @@ pub fn run_service(cfg: &ServiceConfig) -> ServiceReport {
         lat_ns,
         pause_ns,
         elapsed: started.elapsed(),
-    }
+    };
+    (report, host)
 }
 
 /// Installs a panic hook that silences the service's own injected
@@ -973,6 +1035,39 @@ mod tests {
         assert!(r.throughput_rps() > 0.0);
         assert!(!r.pause_ns.is_empty(), "index rotation never paused the service");
         assert!(r.pause_p50_us() <= r.pause_p99_us());
+    }
+
+    /// One host carried through a different seed, sessions 4 → 6 → 4
+    /// and the other deletion budget, reused whenever the session count
+    /// matches: every episode's books equal a fresh host's, and the
+    /// quick and full-scale pins hold on a warm host.
+    #[test]
+    fn a_warm_host_keeps_the_books_of_a_fresh_one() {
+        install_service_panic_filter();
+        let fnv = |b: &[u8]| b.iter().fold(FNV_OFFSET, |h, &x| (h ^ u64::from(x)).wrapping_mul(0x100_0000_01b3));
+        let quick = ServiceConfig { threads: 2, ..ServiceConfig::quick(42) };
+        let full = ServiceConfig { threads: 2, delete_budget: 64, ..ServiceConfig::full(42) };
+        let arms = [
+            (ServiceConfig::quick(7), None),
+            (quick, Some("digest 4d44ec2fd9b9b10a")),
+            (ServiceConfig { sessions: 6, ..quick }, None),
+            (full, Some("digest 69afdf9831478a8c, books 7fdb1688843b8f9f")),
+            (quick, None),
+            (ServiceConfig { delete_budget: 64, ..quick }, Some("digest 4d44ec2fd9b9b10a")),
+        ];
+        let mut host = None;
+        for (i, (cfg, pin)) in arms.into_iter().enumerate() {
+            let warm = host.as_ref().is_some_and(|h: &Host| h.sessions() == cfg.sessions);
+            let (report, back) = run_episode(&cfg, Host::reuse(host.take(), cfg.sessions));
+            host = Some(back);
+            let (fresh, _) = run_episode(&cfg, Host::fresh(cfg.sessions));
+            assert!(report.encode_books() == fresh.encode_books(), "arm {i} (warm: {warm}): books differ");
+            if let Some(pin) = pin {
+                assert!(warm, "arm {i} ran on a fresh host");
+                let got = format!("digest {:016x}, books {:016x}", report.digest, fnv(&report.encode_books()));
+                assert!(got.starts_with(pin), "arm {i}: {got}, pinned {pin}");
+            }
+        }
     }
 
     #[test]

@@ -207,6 +207,62 @@ impl PageClass {
     }
 }
 
+/// Host-side mirror of the in-heap page map, indexed by page number
+/// (same `owner + 1` encoding, 0 = no owner). The in-heap map stays
+/// authoritative — the paper charges footprint for it and traced runs
+/// read it — but untraced `region_of` answers from the mirror with one
+/// charged load instead of a simulated chunk walk.
+///
+/// `cells` is host capacity that a reset keeps, zeroed, at its old
+/// length; `len` is the length a fresh runtime's mirror would have (one
+/// past the highest page ever written), and the only one observable:
+/// snapshots write `cells[..len]`. Every cell at or past `len` is zero.
+#[derive(Debug)]
+struct PageMirror {
+    cells: Vec<u32>,
+    len: usize,
+    /// Lowest cell written since the last clear: cells below it are zero.
+    lo: usize,
+}
+
+impl PageMirror {
+    /// A mirror holding exactly `cells` (snapshot restore).
+    fn from_cells(cells: Vec<u32>) -> PageMirror {
+        let lo = cells.iter().position(|&c| c != 0).unwrap_or(usize::MAX);
+        PageMirror { len: cells.len(), lo, cells }
+    }
+
+    /// The cell of `page_index` (0 past the end).
+    #[inline]
+    fn get(&self, page_index: u32) -> u32 {
+        self.cells.get(page_index as usize).copied().unwrap_or(0)
+    }
+
+    fn set(&mut self, page_index: u32, cell: u32) {
+        let i = page_index as usize;
+        if self.cells.len() <= i {
+            self.cells.resize(i + 1, 0);
+        }
+        self.cells[i] = cell;
+        self.len = self.len.max(i + 1);
+        self.lo = self.lo.min(i);
+    }
+
+    /// The cells a fresh runtime's mirror would hold.
+    fn entries(&self) -> &[u32] {
+        &self.cells[..self.len]
+    }
+
+    /// Back to a fresh runtime's empty mirror, keeping the zeroed cells.
+    fn clear(&mut self) {
+        if self.lo < self.len {
+            self.cells[self.lo..self.len].fill(0);
+        }
+        self.len = 0;
+        self.lo = usize::MAX;
+    }
+}
+
 const ARRAY_FLAG: u32 = 0x8000_0000;
 /// Pages of address space covered by one page-map chunk.
 const CHUNK_COVER: u32 = 1024;
@@ -252,12 +308,7 @@ pub struct RegionRuntime<H: HeapBackend = SimHeap> {
     /// Root of the two-level page map; each chunk page covers
     /// [`CHUNK_COVER`] heap pages.
     map_root: Vec<Option<Addr>>,
-    /// Host-side mirror of the in-heap page map, indexed by page number
-    /// (same `owner + 1` encoding, 0 = no owner). The in-heap map stays
-    /// authoritative — the paper charges footprint for it and traced runs
-    /// read it — but untraced `region_of` answers from the mirror with one
-    /// charged load instead of a simulated chunk walk.
-    map_mirror: Vec<u32>,
+    map_mirror: PageMirror,
     stats: AllocStats,
     costs: SafetyCosts,
     // --- shadow stack of region-pointer locals ---
@@ -325,15 +376,12 @@ impl RegionRuntime {
 
 impl<H: HeapBackend> RegionRuntime<H> {
     /// Creates a runtime with the given configuration on a recycled heap
-    /// (warm per-worker reuse). The heap is reset first — same break
-    /// pointer, zeroed memory, fresh counters, no sink — so every address
-    /// the runtime hands out replays exactly as on a brand-new heap;
-    /// only the host allocation backing the heap is reused.
-    pub fn with_config_on(config: RegionConfig, mut heap: H) -> RegionRuntime<H> {
-        heap.reset_with(config.heap);
-        let stack_base = heap.sbrk_pages(config.stack_pages);
-        let stack_slots = config.stack_pages * (PAGE_SIZE / WORD);
-        RegionRuntime {
+    /// (warm per-worker reuse): an empty runtime, then
+    /// [`RegionRuntime::reset`], so every address the runtime hands out
+    /// replays exactly as on a brand-new heap; only the host allocation
+    /// backing the heap is reused.
+    pub fn with_config_on(config: RegionConfig, heap: H) -> RegionRuntime<H> {
+        let mut rt = RegionRuntime {
             heap,
             config,
             descs: DescriptorTable::new(),
@@ -341,11 +389,11 @@ impl<H: HeapBackend> RegionRuntime<H> {
             spare_lists: Vec::new(),
             free_pages: Vec::new(),
             map_root: Vec::new(),
-            map_mirror: Vec::new(),
+            map_mirror: PageMirror::from_cells(Vec::new()),
             stats: AllocStats::default(),
             costs: SafetyCosts::default(),
-            stack_base,
-            stack_slots,
+            stack_base: Addr::NULL,
+            stack_slots: 0,
             frames: Vec::new(),
             top_slot: 0,
             hwm: 0,
@@ -357,7 +405,79 @@ impl<H: HeapBackend> RegionRuntime<H> {
             global_ptr_locs: BTreeSet::new(),
             delete_budget: u64::MAX,
             scan_attr: ScanAttribution::default(),
+        };
+        rt.reset(config);
+        rt
+    }
+
+    /// Returns the runtime to the state of a fresh
+    /// `with_config_on(config, heap)` on its own heap: the heap is reset
+    /// (see [`HeapBackend::reset_with`]), every region, descriptor,
+    /// frame, counter, fault plan and the delete budget start over, and
+    /// a snapshot captured now is byte-identical to a fresh runtime's.
+    /// The host capacity stays: the region table, the page-map root and
+    /// mirror (zeroed), the page pool, the frames, and the page lists of
+    /// every region, which go to the spare lists new regions take from.
+    /// So a reused runtime replays a fresh one's run without growing
+    /// any of them again.
+    pub fn reset(&mut self, config: RegionConfig) {
+        // Destructured so that a new field cannot be left out.
+        let RegionRuntime {
+            heap,
+            config: own_config,
+            descs,
+            regions,
+            spare_lists,
+            free_pages,
+            map_root,
+            map_mirror,
+            stats,
+            costs,
+            stack_base,
+            stack_slots,
+            frames,
+            top_slot,
+            hwm,
+            data_pages,
+            map_pages,
+            globals_pages,
+            faults,
+            violations,
+            global_ptr_locs,
+            delete_budget,
+            scan_attr,
+        } = self;
+        heap.reset_with(config.heap);
+        *stack_base = heap.sbrk_pages(config.stack_pages);
+        *stack_slots = config.stack_pages * (PAGE_SIZE / WORD);
+        *own_config = config;
+        *descs = DescriptorTable::new();
+        for info in regions.drain(..) {
+            // A dead region's buffers are already spares; its lists are
+            // empty `Vec::new()`s that would only crowd them out.
+            for mut pages in [info.string.pages, info.normal.pages] {
+                if pages.capacity() > 0 {
+                    pages.clear();
+                    spare_lists.push(pages);
+                }
+            }
         }
+        free_pages.clear();
+        map_root.clear();
+        map_mirror.clear();
+        *stats = AllocStats::default();
+        *costs = SafetyCosts::default();
+        frames.clear();
+        *top_slot = 0;
+        *hwm = 0;
+        *data_pages = 0;
+        *map_pages = 0;
+        *globals_pages = 0;
+        *faults = FaultPlan::new();
+        violations.clear();
+        global_ptr_locs.clear();
+        *delete_budget = u64::MAX;
+        *scan_attr = ScanAttribution::default();
     }
 
     /// Installs a fault-injection schedule. The plan's sbrk byte budget
@@ -468,7 +588,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// footprint figure: the mirror is host bookkeeping, not simulated
     /// memory.
     pub fn host_mirror_bytes(&self) -> u64 {
-        (self.map_mirror.len() * std::mem::size_of::<u32>()) as u64
+        (self.map_mirror.cells.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Allocates a zeroed area of global storage (outside any region).
@@ -543,10 +663,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
         let entry = chunk + (page_index % CHUNK_COVER) * WORD;
         let cell = owner.map_or(0, |r| r.0 + 1);
         self.heap.store_u32(entry, cell);
-        if self.map_mirror.len() <= page_index as usize {
-            self.map_mirror.resize(page_index as usize + 1, 0);
-        }
-        self.map_mirror[page_index as usize] = cell;
+        self.map_mirror.set(page_index, cell);
         // Sharded backends additionally announce ownership space-wide so
         // sibling workers can audit the page without reading this worker's
         // in-heap map; on SimHeap this is a no-op.
@@ -622,9 +739,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
         if addr.is_null() {
             return PageClass::NONE;
         }
-        match self.map_mirror.get(addr.page_index() as usize) {
-            Some(&cell) if cell != 0 => PageClass { cell, loads: 1 },
-            _ => self.classify_ownerless(addr),
+        match self.map_mirror.get(addr.page_index()) {
+            0 => self.classify_ownerless(addr),
+            cell => PageClass { cell, loads: 1 },
         }
     }
 
@@ -642,7 +759,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
     /// Host-side view of the page-map mirror, indexed by absolute page
     /// index with the `owner + 1` cell encoding (world capture/audit).
     pub(crate) fn map_mirror_entries(&self) -> &[u32] {
-        &self.map_mirror
+        self.map_mirror.entries()
     }
 
     /// Verifies that the host mirror agrees with the authoritative in-heap
@@ -655,7 +772,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             for slot in 0..CHUNK_COVER {
                 let in_heap = self.heap.peek_u32(chunk + slot * WORD);
                 let page_index = root as u32 * CHUNK_COVER + slot;
-                let mirrored = self.map_mirror.get(page_index as usize).copied().unwrap_or(0);
+                let mirrored = self.map_mirror.get(page_index);
                 assert_eq!(
                     in_heap, mirrored,
                     "page-map mirror out of sync for page {page_index}"
@@ -1319,8 +1436,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         let info = &mut self.regions[r.0 as usize];
         info.liveness = Liveness::Dead;
-        // The emptied lists serve the next new regions.
-        for bump in [&mut info.normal, &mut info.string] {
+        // The emptied lists serve the next new regions, the string list
+        // pushed first so the next region takes each list in its old role.
+        for bump in [&mut info.string, &mut info.normal] {
             bump.pages.clear();
             self.spare_lists.push(std::mem::take(&mut bump.pages));
         }
@@ -1503,7 +1621,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             for slot in 0..CHUNK_COVER {
                 let in_heap = self.heap.peek_u32(chunk + slot * WORD);
                 let page_index = root as u32 * CHUNK_COVER + slot;
-                let mirrored = self.map_mirror.get(page_index as usize).copied().unwrap_or(0);
+                let mirrored = self.map_mirror.get(page_index);
                 report.mirror_entries_checked += 1;
                 if in_heap != mirrored {
                     report.mirror_mismatches.push(MirrorMismatch { page_index, in_heap, mirrored });
@@ -1667,8 +1785,9 @@ impl<H: HeapBackend> RegionRuntime<H> {
         for &c in &self.map_root {
             w.opt_u32(c.map(Addr::raw));
         }
-        w.u32(self.map_mirror.len() as u32);
-        for &m in &self.map_mirror {
+        let mirror = self.map_mirror.entries();
+        w.u32(mirror.len() as u32);
+        for &m in mirror {
             w.u32(m);
         }
         // -- stats and costs --
@@ -2121,7 +2240,7 @@ impl<H: HeapBackend> RegionRuntime<H> {
             spare_lists: Vec::new(),
             free_pages,
             map_root,
-            map_mirror,
+            map_mirror: PageMirror::from_cells(map_mirror),
             stats,
             costs,
             stack_base: Addr::new(stack_base),

@@ -35,7 +35,8 @@ pub trait HeapBackend {
     /// Sets (or clears) the injected sbrk fault budget.
     fn set_sbrk_fault_after(&mut self, budget: Option<u64>);
     /// Reinitializes this handle to an empty heap under `config`,
-    /// dropping any attached sink.
+    /// dropping any attached sink. The host memory behind the old heap
+    /// may be kept (zeroed) for the next run; nothing simulated is.
     fn reset_with(&mut self, config: HeapConfig);
 
     /// Loads a 32-bit word (panics on unmapped/misaligned addresses).

@@ -213,6 +213,7 @@ impl SharedSpace {
             base_page: self.base_page(worker),
             local: Vec::new(),
             remote: RefCell::new(BTreeMap::new()),
+            spares: Vec::new(),
             fault_after: None,
             loads: 0,
             stores: 0,
@@ -250,6 +251,7 @@ impl SharedSpace {
             base_page: base,
             local,
             remote: RefCell::new(BTreeMap::new()),
+            spares: Vec::new(),
             fault_after,
             loads,
             stores,
@@ -319,10 +321,13 @@ pub struct HeapShard {
     /// Pages of this shard, contiguous from `base_page`: one slot per
     /// page below the break (sbrk appends `None`), filled on first write.
     local: Vec<Option<PageArc>>,
-    /// Cache of the installed foreign pages this worker has read. Pages
-    /// are never uninstalled while the space lives, so entries can't go
-    /// stale.
+    /// Cache of the installed foreign pages this worker has read. Only
+    /// the owner's reset uninstalls a page; an entry cached across it
+    /// keeps the old words, and the owner never reuses that page.
     remote: RefCell<BTreeMap<u32, PageArc>>,
+    /// Zeroed buffers of pages a reset uninstalled, which page births
+    /// take before allocating. Only pages no other handle held are kept.
+    spares: Vec<PageArc>,
     fault_after: Option<u64>,
     loads: u64,
     stores: u64,
@@ -517,11 +522,12 @@ impl HeapShard {
         self.write_word(addr, value);
     }
 
-    /// Page birth: creates own page `i` (zeroed) on its first write and
-    /// installs it in the shared table for other workers' reads.
+    /// Page birth: creates own page `i` (zeroed, from a spare if a reset
+    /// left one) on its first write and installs it in the shared table
+    /// for other workers' reads.
     #[cold]
     fn materialize(&mut self, i: usize) {
-        let page = new_page();
+        let page = self.spares.pop().unwrap_or_else(new_page);
         let slot = self.base_page as usize + i;
         let mut table = lock(&self.space.table);
         debug_assert!(table[slot].is_none(), "an unwritten page was already installed");
@@ -576,17 +582,23 @@ impl HeapBackend for HeapShard {
         // The span is fixed by the space; `config.max_bytes` is the
         // *private-heap* limit and is ignored here — shard capacity is
         // `span_pages`. The fault budget carries over as configured.
+        // A born page is uninstalled, then kept as a zeroed spare unless
+        // another handle (a reader's remote cache) still holds it: that
+        // reader must never see the page reborn under it.
         self.space.publish_break(self.worker, 0);
         let mut table = lock(&self.space.table);
-        for (i, page) in self.local.iter().enumerate() {
+        for (i, page) in self.local.drain(..).enumerate() {
             let slot = self.base_page as usize + i;
-            if page.is_some() {
+            if let Some(mut page) = page {
                 table[slot] = None;
+                if let Some(words) = Arc::get_mut(&mut page) {
+                    words.iter_mut().for_each(|w| *w.get_mut() = 0);
+                    self.spares.push(page);
+                }
             }
             self.space.mirror[slot].store(0, Ordering::Release);
         }
         drop(table);
-        self.local.clear();
         self.remote.borrow_mut().clear();
         self.fault_after = config.sbrk_fault_after;
         self.loads = 0;

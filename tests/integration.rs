@@ -329,6 +329,86 @@ fn shard_matches_private_heap_and_unwritten_world_round_trips() {
     assert_eq!(capture_world(&world.space, &refs), bytes, "re-capture is byte-identical");
 }
 
+/// Leaves `rt` as far from fresh as a run gets: a page-map mirror grown
+/// over 300 pages (far past what `region_script` needs), a fault plan
+/// that has fired and stays armed, a stack frame, and a budget-1
+/// deletion parked mid-cleanup. Returns an object on a born page.
+fn dirty_runtime<H: explicit_regions::simheap::HeapBackend>(
+    rt: &mut explicit_regions::region_core::RegionRuntime<H>,
+) -> explicit_regions::simheap::Addr {
+    use explicit_regions::region_core::{DeleteProgress, FaultPlan, TypeDescriptor};
+
+    let node = rt.register_type(TypeDescriptor::new("pair", 60, vec![4, 32]));
+    let big = rt.new_region();
+    for _ in 0..300 {
+        rt.rstralloc(big, 4000);
+    }
+    rt.set_fault_plan(FaultPlan::seeded(3).fail_allocs_one_in(4));
+    let (keep, doomed) = (rt.new_region(), rt.new_region());
+    let faults = (0..20).filter(|_| rt.try_rstralloc(keep, 16).is_err()).count();
+    assert!(faults > 0, "the fault plan never fired");
+    let target = std::iter::repeat_with(|| rt.try_ralloc(keep, node)).find_map(Result::ok).unwrap();
+    rt.heap_mut().store_u32(target, 0x7e57);
+    for _ in 0..100 {
+        if let Ok(x) = rt.try_ralloc(doomed, node) {
+            rt.store_ptr_region(x + 4, target);
+        }
+    }
+    rt.push_frame(1);
+    rt.set_local(0, target);
+    rt.set_delete_budget(1);
+    for _ in 0..10 {
+        assert_eq!(rt.try_delete_region_step(doomed), Ok(DeleteProgress::Parked));
+    }
+    target
+}
+
+/// `RegionRuntime::reset` returns a runtime to a fresh one's state, on a
+/// private heap and on the shards of a shared space: after a dirty run
+/// (see `dirty_runtime`), the reset runtime's capture is byte-equal to a
+/// fresh runtime's, and after the same requests so are the capture, the
+/// `AllocStats`, the `SafetyCosts` and the sanitize report.
+#[test]
+fn a_reset_runtime_is_a_fresh_runtime() {
+    use explicit_regions::region_core::{capture_world, RegionConfig, RegionRuntime};
+    use explicit_regions::simheap::{HeapBackend, HeapShard, SharedSpace, SpaceConfig};
+
+    let mut fresh = RegionRuntime::new_safe();
+    let mut reset = RegionRuntime::new_safe();
+    let _ = dirty_runtime(&mut reset);
+    reset.reset(RegionConfig::default());
+    assert!(reset.capture_snapshot() == fresh.capture_snapshot(), "a reset runtime captures as a fresh one");
+    assert_eq!(region_script(&mut reset), region_script(&mut fresh));
+    assert!(reset.capture_snapshot() == fresh.capture_snapshot(), "and runs on as a fresh one");
+    assert_eq!(reset.stats(), fresh.stats());
+    assert_eq!(reset.costs(), fresh.costs());
+    assert_eq!(format!("{:?}", reset.sanitize()), format!("{:?}", fresh.sanitize()));
+
+    // Both shards of a two-worker space, worker 1 caching a page of
+    // worker 0 (a page its reset must not reuse).
+    let world = |space: &std::sync::Arc<SharedSpace>| -> Vec<RegionRuntime<HeapShard>> {
+        (0..2).map(|w| RegionRuntime::with_config_on(RegionConfig::default(), space.shard(w))).collect()
+    };
+    let config = SpaceConfig { max_bytes: 8 << 20, workers: 2 };
+    let (fresh_space, reset_space) = (SharedSpace::new(config), SharedSpace::new(config));
+    let (mut fresh, mut reset) = (world(&fresh_space), world(&reset_space));
+    let foreign = dirty_runtime(&mut reset[0]);
+    dirty_runtime(&mut reset[1]);
+    assert_eq!(reset[1].heap_mut().load_u32(foreign), 0x7e57, "worker 1 reads a born page of worker 0");
+    for rt in &mut reset {
+        rt.reset(RegionConfig::default());
+    }
+    let capture = |space, rts: &[RegionRuntime<HeapShard>]| capture_world(space, &rts.iter().collect::<Vec<_>>());
+    assert!(capture(&reset_space, &reset) == capture(&fresh_space, &fresh), "a reset world captures as a fresh one");
+    for (a, b) in reset.iter_mut().zip(&mut fresh) {
+        assert_eq!(region_script(a), region_script(b));
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.costs(), b.costs());
+        assert_eq!(format!("{:?}", a.sanitize()), format!("{:?}", b.sanitize()));
+    }
+    assert!(capture(&reset_space, &reset) == capture(&fresh_space, &fresh), "and runs on as a fresh one");
+}
+
 /// Figure 9's memory share is a positive part of every run: the memory
 /// clock's estimate, before the bound that caps it at the wall time, is
 /// above zero and no more than the run itself, on both the region and
