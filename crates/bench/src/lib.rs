@@ -18,8 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod diff;
 pub mod golden;
+pub mod par_regions;
 pub mod results;
 pub mod rng;
 pub mod runner;
@@ -34,6 +36,5 @@ pub use runner::{
 };
 pub use server::{
     install_service_panic_filter, run_service, Ledger, ServiceConfig, ServiceReport,
-    SERVICE_PANIC_MARKER,
 };
 pub use supervise::{supervise, JobOutcome, SuperviseConfig, WorkerReport};

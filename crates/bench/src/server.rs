@@ -71,11 +71,12 @@ use simheap::{Addr, HeapShard, SharedSpace, SpaceConfig};
 use crate::rng::{fold, Rng, FNV_OFFSET};
 use crate::supervise::{supervise, JobOutcome, SuperviseConfig};
 
-/// Marker carried by every panic the service injects. Starts with the
-/// chaos binary's own marker prefix so its panic-hook filter silences
-/// these too; [`install_service_panic_filter`] matches the full string
-/// for standalone binaries.
-pub const SERVICE_PANIC_MARKER: &str = "par-chaos injected panic [service worker]";
+/// The prefix of every injected panic message, the service's and
+/// par-chaos's: par-chaos asserts it on each panic its supervised
+/// workers report (anything else would be a pool-API panic escaping
+/// through a worker), and [`install_service_panic_filter`] silences
+/// exactly these panics.
+pub(crate) const PAR_PANIC_MARKER: &str = "par-chaos injected panic";
 
 /// Attempts per request against injected allocation faults: each one
 /// replays the whole request into a fresh region, with no wait between
@@ -799,8 +800,8 @@ pub(crate) fn run_episode(cfg: &ServiceConfig, mut host: Host) -> (ServiceReport
                     } // slot lock released before the injected panic
                     if panic_now {
                         panic!(
-                            "{SERVICE_PANIC_MARKER} (session {session} round {round} \
-                             attempt {attempt})"
+                            "{PAR_PANIC_MARKER} [service worker] (session {session} \
+                             round {round} attempt {attempt})"
                         );
                     }
                 };
@@ -928,21 +929,19 @@ pub(crate) fn run_episode(cfg: &ServiceConfig, mut host: Host) -> (ServiceReport
     (report, host)
 }
 
-/// Installs a panic hook that silences the service's own injected
-/// panics (they carry [`SERVICE_PANIC_MARKER`]) while reporting every
-/// other panic through the previously installed hook.
+/// Installs a panic hook that silences the injected panics of the
+/// service and of par-chaos (their messages start with
+/// "par-chaos injected panic") while reporting every other panic through
+/// the previously installed hook.
 pub fn install_service_panic_filter() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let payload = info.payload();
-        let injected = payload
+        let message = payload
             .downcast_ref::<String>()
-            .map(|s| s.contains(SERVICE_PANIC_MARKER))
-            .or_else(|| {
-                payload.downcast_ref::<&str>().map(|s| s.contains(SERVICE_PANIC_MARKER))
-            })
-            .unwrap_or(false);
-        if !injected {
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        if !message.is_some_and(|m| m.starts_with(PAR_PANIC_MARKER)) {
             prev(info);
         }
     }));

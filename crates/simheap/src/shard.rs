@@ -21,25 +21,24 @@
 //!
 //! Shared state is kept safe-Rust-concurrent the same way
 //! `region_core::par` keeps its books: the global page table is a
-//! `Mutex<Vec<Option<Arc<[AtomicU32]>>>>` touched only on page birth
-//! and host-side audits, while the hot word traffic goes through the
-//! per-page atomics. Like an OS page, a shard page costs nothing until
-//! it is first written: `sbrk` only advances the shard's break, which
-//! it publishes in a per-worker atomic, and the first store to a page
-//! creates it and installs it in the table. A page is *mapped* iff it
-//! lies below its owner's published break; a mapped page nobody wrote
-//! reads as zero. Pages are never uninstalled while the space lives
-//! (short of the owner's `reset_with`), so a reader's cached `Arc`
-//! can never dangle. The page→region
-//! *mirror* is a flat `Vec<AtomicU32>` over absolute page indices,
-//! published by the owner on every page-map write (see
+//! `Mutex<Vec<Option<Arc<[AtomicU32]>>>>` touched only on page birth,
+//! foreign reads and host-side audits, while an owner's word traffic
+//! goes through the per-page atomics it holds. Like an OS page, a shard
+//! page costs nothing until it is first written: `sbrk` only advances
+//! the shard's break, which it publishes in a per-worker atomic, and the
+//! first store to a page creates it and installs it in the table. A
+//! page is *mapped* iff it lies below its owner's published break; a
+//! mapped page nobody wrote reads as zero. Only the owner's `reset_with`
+//! uninstalls a page, and a foreign read looks its page up in the table
+//! under the lock each time, so no reader reads a page after its owner
+//! reset. The page→region *mirror* is a flat `Vec<AtomicU32>` over
+//! absolute page indices, published by the owner on every page-map
+//! write (see
 //! [`crate::HeapBackend::publish_page_owner`]) and encoded as
 //! `(worker + 1) << 24 | (region_index + 1)`, 0 = unowned — so any
 //! thread (or the world auditor) can classify a foreign address without
 //! touching the owner's in-heap map.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -212,7 +211,6 @@ impl SharedSpace {
             worker,
             base_page: self.base_page(worker),
             local: Vec::new(),
-            remote: RefCell::new(BTreeMap::new()),
             spares: Vec::new(),
             fault_after: None,
             loads: 0,
@@ -250,7 +248,6 @@ impl SharedSpace {
             worker,
             base_page: base,
             local,
-            remote: RefCell::new(BTreeMap::new()),
             spares: Vec::new(),
             fault_after,
             loads,
@@ -321,12 +318,8 @@ pub struct HeapShard {
     /// Pages of this shard, contiguous from `base_page`: one slot per
     /// page below the break (sbrk appends `None`), filled on first write.
     local: Vec<Option<PageArc>>,
-    /// Cache of the installed foreign pages this worker has read. Only
-    /// the owner's reset uninstalls a page; an entry cached across it
-    /// keeps the old words, and the owner never reuses that page.
-    remote: RefCell<BTreeMap<u32, PageArc>>,
     /// Zeroed buffers of pages a reset uninstalled, which page births
-    /// take before allocating. Only pages no other handle held are kept.
+    /// take before allocating.
     spares: Vec<PageArc>,
     fault_after: Option<u64>,
     loads: u64,
@@ -438,17 +431,6 @@ impl HeapShard {
         );
     }
 
-    /// Looks up an installed foreign page, filling the remote cache on a
-    /// miss. `None` for a mapped page its owner has not written yet.
-    fn resolve_remote(&self, page: u32) -> Option<PageArc> {
-        if let Some(p) = self.remote.borrow().get(&page) {
-            return Some(Arc::clone(p));
-        }
-        let p = lock(&self.space.table)[page as usize].clone()?;
-        self.remote.borrow_mut().insert(page, Arc::clone(&p));
-        Some(p)
-    }
-
     /// The word at `addr`, assuming [`HeapShard::check`] already passed.
     /// A page nobody wrote reads as zero.
     #[inline]
@@ -460,7 +442,11 @@ impl HeapShard {
                 .as_ref()
                 .map_or(0, |p| p[w].load(Ordering::Relaxed))
         } else {
-            self.resolve_remote(page).map_or(0, |p| p[w].load(Ordering::Relaxed))
+            // A foreign page is read through the table, under its lock,
+            // so an owner's reset can never leave a reader on old words.
+            lock(&self.space.table)[page as usize]
+                .as_ref()
+                .map_or(0, |p| p[w].load(Ordering::Relaxed))
         }
     }
 
@@ -583,8 +569,7 @@ impl HeapBackend for HeapShard {
         // *private-heap* limit and is ignored here — shard capacity is
         // `span_pages`. The fault budget carries over as configured.
         // A born page is uninstalled, then kept as a zeroed spare unless
-        // another handle (a reader's remote cache) still holds it: that
-        // reader must never see the page reborn under it.
+        // another handle (a host-side snapshot in flight) still holds it.
         self.space.publish_break(self.worker, 0);
         let mut table = lock(&self.space.table);
         for (i, page) in self.local.drain(..).enumerate() {
@@ -599,7 +584,6 @@ impl HeapBackend for HeapShard {
             self.space.mirror[slot].store(0, Ordering::Release);
         }
         drop(table);
-        self.remote.borrow_mut().clear();
         self.fault_after = config.sbrk_fault_after;
         self.loads = 0;
         self.stores = 0;
@@ -850,8 +834,16 @@ mod tests {
         b.try_sbrk_pages(1).unwrap();
         a.store_u32(pa, 0xDEAD_BEEF);
         assert_eq!(b.load_u32(pa), 0xDEAD_BEEF, "foreign pages are readable");
-        assert_eq!(b.load_u32(pa), 0xDEAD_BEEF, "cached remote page stays live");
-        assert_eq!(b.load_count(), 2);
+        a.store_u32(pa, 7);
+        assert_eq!(b.load_u32(pa), 7, "a foreign read sees the owner's latest write");
+        // After the owner's reset the page is unmapped; reborn, it holds
+        // the owner's new words, never the old ones.
+        a.reset_with(HeapConfig::default());
+        a.try_sbrk_pages(1).unwrap();
+        assert_eq!(b.load_u32(pa), 0, "a remapped page reads zero until written");
+        a.store_u32(pa, 9);
+        assert_eq!(b.load_u32(pa), 9, "a foreign read sees the reborn page");
+        assert_eq!(b.load_count(), 4);
     }
 
     #[test]

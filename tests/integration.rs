@@ -577,10 +577,10 @@ fn v1_snapshot_round_trips_byte_identically() {
     assert_eq!(back.capture_snapshot(), rt.capture_snapshot(), "continued identically");
 }
 
-/// Tier-1 reach of the service books that `server --quick` pins: the
-/// quick config at seed 42 lands on one digest, and its encoded books
-/// (ledgers, digest, footprint, quarantine counters) do not move with
-/// the thread count or the deletion budget.
+/// The service books that `server --quick` prints: the quick config at
+/// seed 42 lands on one digest, and its encoded books (ledgers, digest,
+/// footprint, quarantine counters) do not move with the thread count or
+/// the deletion budget (unbounded, 64 and 1, the budgets ci.sh sweeps).
 #[test]
 fn service_books_match_their_quick_pin() {
     use bench_harness::server::{run_service, ServiceConfig};
@@ -588,7 +588,7 @@ fn service_books_match_their_quick_pin() {
     let quick = ServiceConfig::quick(42);
     let mut first: Option<Vec<u8>> = None;
     for threads in [1, 2] {
-        for delete_budget in [u64::MAX, 64] {
+        for delete_budget in [u64::MAX, 64, 1] {
             let report = run_service(&ServiceConfig { threads, delete_budget, ..quick });
             let arm = format!("{threads} threads, budget {delete_budget}");
             assert_eq!(report.digest, 0x4d44_ec2f_d9b9_b10a, "{arm}: digest {:016x}", report.digest);
@@ -614,23 +614,29 @@ fn service_books_match_their_full_scale_pin() {
     assert_eq!(got, "digest 69afdf9831478a8c, books 7fdb1688843b8f9f", "full-scale service books moved");
 }
 
-/// Tier-1 reach of the four fresh-recording trace pins: grobner's,
-/// mudlle's, lcc's and moss's safe-region streams at scale 1 keep the
-/// access count and stream hash that `fig10 --quick --record-golden`
-/// prints for them, so a reordered or dropped access fails here too.
+/// The four fresh-recording trace pins: grobner's, mudlle's, lcc's and
+/// moss's safe-region streams at scale 1 keep the access count, the
+/// verbatim prefix length and the stream hash that
+/// `fig10 --quick --record-golden` prints for them, so a reordered or
+/// dropped access fails here.
 #[test]
 fn fresh_trace_recordings_keep_their_pinned_hashes() {
     use bench_harness::golden::record_region_trace;
 
-    for (w, total, hash) in [
-        (Workload::Grobner, 465_356, 0x1779_36f7_80af_b031),
-        (Workload::Mudlle, 98_874, 0x74e1_f726_559f_576d),
-        (Workload::Lcc, 64_033, 0xec6b_b2cb_d63e_80a7),
-        (Workload::Moss, 1_183_586, 0x1381_0a2e_ea31_ec08),
+    for (w, total, kept, hash) in [
+        (Workload::Grobner, 465_356, 465_356, 0x1779_36f7_80af_b031),
+        (Workload::Mudlle, 98_874, 98_874, 0x74e1_f726_559f_576d),
+        (Workload::Lcc, 64_033, 64_033, 0xec6b_b2cb_d63e_80a7),
+        (Workload::Moss, 1_183_586, 1_000_000, 0x1381_0a2e_ea31_ec08),
     ] {
         let rec = record_region_trace(w, 1);
-        let got = format!("{} accesses, hash {:016x}", rec.total, rec.hash);
-        assert_eq!((rec.total, rec.hash), (total, hash), "{}: {got}", w.name());
+        let got = format!(
+            "{} accesses ({} kept verbatim), hash {:016x}",
+            rec.total,
+            rec.prefix.len(),
+            rec.hash
+        );
+        assert_eq!((rec.total, rec.prefix.len(), rec.hash), (total, kept, hash), "{}: {got}", w.name());
     }
 }
 

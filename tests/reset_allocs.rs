@@ -176,35 +176,24 @@ fn reborn_spare_pages_read_zero() {
     }
 }
 
+/// A foreign read holds no page, so every page a reset uninstalls comes
+/// back as a spare, and the reader then sees the owner's new words.
 #[test]
-fn a_page_another_shard_caches_is_never_a_spare() {
+fn a_page_another_shard_read_is_reborn_for_both_shards() {
     let space = SharedSpace::new(SpaceConfig {
         max_bytes: 1 << 20,
         workers: 2,
     });
     let (mut owner, mut reader) = (space.shard(0), space.shard(1));
-    let cached = owner.try_sbrk_pages(2).unwrap();
-    owner.store_u32(cached, 7);
-    owner.store_u32(cached + 4096, 8);
+    let read = owner.try_sbrk_pages(2).unwrap();
+    owner.store_u32(read, 7);
+    owner.store_u32(read + 4096, 8);
     reader.try_sbrk_pages(1).unwrap();
-    assert_eq!(
-        reader.load_u32(cached),
-        7,
-        "the reader caches the owner's first page"
-    );
+    assert_eq!(reader.load_u32(read), 7, "the reader reads the owner's first page");
     owner.reset_with(HeapConfig::default());
     owner.try_sbrk_pages(2).unwrap();
-    // One page went back as a spare, the cached one was dropped: the
-    // first birth reuses, the second allocates.
-    let ((), first) = allocations(|| owner.store_u32(cached, 9));
-    let ((), second) = allocations(|| owner.store_u32(cached + 4096, 9));
-    assert!(
-        first == 0 && second > 0,
-        "only the uncached page is a spare: {first}, {second}"
-    );
-    assert_eq!(
-        reader.load_u32(cached),
-        7,
-        "the reader's cached page was not reborn under it"
-    );
+    let ((), first) = allocations(|| owner.store_u32(read, 9));
+    let ((), second) = allocations(|| owner.store_u32(read + 4096, 9));
+    assert_eq!((first, second), (0, 0), "both pages are reborn from spares");
+    assert_eq!(reader.load_u32(read), 9, "the reader sees the owner's new word");
 }
