@@ -21,8 +21,25 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== workspace tests (all crates) =="
-cargo test --workspace -q
+echo "== workspace tests (every crate but the root package) =="
+# tier-1 above ran the root package. This one step runs every other
+# crate's suites, among them:
+# - snapshot round-trip and corrupt-input rejection, the doctored-books
+#   sanitize gate and the field-log byte sweep (region-core lib
+#   `snapshot`, tests/snapshot_props, bench-harness lib `diff`;
+#   DESIGN §14);
+# - shard parity: W=1 bit-parity and the canonical W>1 merge
+#   (region-core tests/shard_props; DESIGN §15);
+# - world snapshots: v1/v2 streams reject each other with typed errors
+#   and a restored world re-captures byte-identically (region-core lib
+#   `world`);
+# - the sameregion inference pass (cq-lang; vm-chaos in
+#   tests/chaos_pins.rs runs every random C@ program with and without it);
+# - scan-batching parity: the GC/malloc range conversions (DESIGN §11)
+#   change golden-trace record counts but never the word-level stream,
+#   the charge counters or a cache statistic (simheap tests/props,
+#   conservative-gc tests/scan_parity).
+cargo test --workspace --exclude explicit-regions -q
 
 echo "== bench binaries, --quick smoke =="
 # --quick runs write their results under target/quick-results/, never
@@ -47,28 +64,10 @@ echo "== golden access traces =="
 echo "== golden end-states (RSNP snapshots, field-level diff on drift) =="
 # Committed full runtime snapshots of the safe-region end state for tile
 # and cfrac; a byte mismatch is reported by the first drifted field
-# (region id / heap page / counter name) via bench::diff.
+# (region id / heap page / counter name), named by the restore decode's
+# field log (region_core::snapshot_fields, compared in bench::diff).
 ./target/release/fig10 --quick --check-golden-state tile
 ./target/release/fig10 --quick --check-golden-state cfrac
-
-echo "== snapshot round-trip + corrupt-input rejection (DESIGN §14) =="
-# Every-prefix replay equality, truncation/bit-flip/bad-header typed
-# rejection, and the doctored-books sanitize gate live in the core lib
-# and property suites.
-cargo test -q -p region-core --lib snapshot
-cargo test -q -p region-core --test snapshot_props
-
-echo "== shard parity suite (W=1 bit-parity + canonical merge) =="
-# A runtime on the single shard of a one-worker SharedSpace must be
-# observationally identical to one on a private SimHeap; W>1 merges must
-# be bit-identical across seeded and real-thread schedules (DESIGN §15).
-cargo test -q -p region-core --test shard_props
-
-echo "== world snapshots: v1 still reads, v2 round-trips =="
-# RSNP v1 single-runtime snapshots (checked above) and the v2 sharded
-# world format live side by side; v1/v2 streams must reject each other
-# with typed errors, and a restored world re-captures byte-identically.
-cargo test -q -p region-core --lib world
 
 echo "== shard A/B (records BENCH_shard quick variant) =="
 # Private SimHeap vs W=1 shard books bit-identical; the 4-shard shared
@@ -107,12 +106,6 @@ done
 ./target/release/compare_results target/server_binf.json target/server_b64.json --ignore-time >/dev/null
 ./target/release/compare_results target/server_b64.json target/server_b1.json --ignore-time >/dev/null
 
-echo "== elision differential (cq-lang suite) =="
-# vm-chaos (in the chaos soak above and tests/chaos_pins.rs) runs every
-# random C@ program with and without the sameregion inference pass; the
-# cq-lang suite checks the pass itself.
-cargo test -q -p cq-lang
-
 echo "== elision A/B on the workload suite (records BENCH_elision.json) =="
 # Interleaved min-of-N with the hand-annotated sameregion stores off/on;
 # asserts identical checksums, a conserved barrier split, deterministic
@@ -123,14 +116,6 @@ echo "== elision A/B on the workload suite (records BENCH_elision.json) =="
 
 echo "== REGION_SANITIZE=1 smoke (one fig8 row, audited after the run) =="
 REGION_SANITIZE=1 ./target/release/fig8 --quick --only tile >/dev/null
-
-echo "== scan-batching parity =="
-# The GC/malloc range conversions (DESIGN §11 producer table) changed
-# golden-trace *record counts* but must never change the word-level
-# stream, the charge counters, or any cache statistic. These suites
-# prove it property-by-property and for a full collect cycle.
-cargo test -q -p simheap --test props
-cargo test -q -p conservative-gc --test scan_parity
 
 echo "== quick results against their committed baselines =="
 # Every deterministic counter of the quick smoke runs (footprint, cache

@@ -677,43 +677,43 @@ impl Soak {
     fn restore(bytes: &[u8]) -> Result<Soak, SnapshotError> {
         let mut r = SnapReader::new(bytes);
         r.section("soak-runtime");
-        let rt = RegionRuntime::restore_snapshot(r.bytes()?)?;
+        let rt = RegionRuntime::restore_snapshot(r.bytes("runtime")?)?;
         r.section("soak-driver");
-        let rng = Rng(r.u64()?);
-        let node = DescId::from_index(r.u32()?);
+        let rng = Rng(r.u64("rng")?);
+        let node = DescId::from_index(r.u32("node")?);
         let mut lists = [Vec::new(), Vec::new()];
         for list in &mut lists {
-            let n = r.u32()?;
+            let n = r.u32("regions")?;
             for _ in 0..n {
-                list.push(RegionId::from_index(r.u32()?));
+                list.push(RegionId::from_index(r.u32("region")?));
             }
         }
         let [live, dead] = lists;
-        let n_pool = r.u32()?;
+        let n_pool = r.u32("pool")?;
         let mut pool = Vec::new();
         for _ in 0..n_pool {
-            let obj = match r.u8()? {
-                0 => Obj::Node(RegionId::from_index(r.u32()?), Addr::new(r.u32()?)),
+            let obj = match r.u8("obj")? {
+                0 => Obj::Node(RegionId::from_index(r.u32("region")?), Addr::new(r.u32("addr")?)),
                 1 => Obj::Array(
-                    RegionId::from_index(r.u32()?),
-                    Addr::new(r.u32()?),
-                    r.u32()?,
+                    RegionId::from_index(r.u32("region")?),
+                    Addr::new(r.u32("addr")?),
+                    r.u32("len")?,
                 ),
                 _ => return Err(r.malformed()),
             };
             pool.push(obj);
         }
-        let globals = Addr::new(r.u32()?);
-        let n_globals = r.u32()?;
-        let frames = r.u32()?;
-        let parked = match r.u8()? {
+        let globals = Addr::new(r.u32("globals")?);
+        let n_globals = r.u32("n_globals")?;
+        let frames = r.u32("frames")?;
+        let parked = match r.u8("parked")? {
             0 => None,
-            1 => Some((RegionId::from_index(r.u32()?), r.u64()?)),
+            1 => Some((RegionId::from_index(r.u32("parked")?), r.u64("budget")?)),
             _ => return Err(r.malformed()),
         };
         let mut t = [0u64; 14];
         for v in &mut t {
-            *v = r.u64()?;
+            *v = r.u64("tally")?;
         }
         r.finish()?;
         let tally = Tally {

@@ -10,10 +10,13 @@
 //!
 //! For golden *state* checks ([`crate::golden::golden_state_path`]) a
 //! byte compare alone would only say "changed"; [`snapshot_divergence`]
-//! decodes both snapshots field by field and names the first field that
-//! moved — a region id and its drifted counter, a heap page, a stat or
-//! cost by name — so the culprit subsystem is identified from the
-//! failure message alone.
+//! names the first field that moved — a region id and its drifted
+//! counter, a heap page, a stat or cost by name — so the culprit
+//! subsystem is identified from the failure message alone. The fields
+//! come from [`region_core::snapshot_fields`], the restore decode run
+//! with its field log on; this module does not read `RSNP` itself.
+
+use region_core::snapshot_fields;
 
 /// Number of changed-or-added lines in `region` relative to `malloc`
 /// (whitespace-trimmed; blank lines ignored).
@@ -31,8 +34,9 @@ pub fn significant_lines(src: &str) -> usize {
 /// Compares two runtime snapshots and describes the **first diverging
 /// field** by name — `region[3].rc`, `heap.page[12]`, `costs.deletes`,
 /// `mirror[40]` — with both values. `None` means the snapshots are
-/// byte-identical. Undecodable input is reported as a divergence too
-/// (a golden state that no longer parses *is* a divergence).
+/// byte-identical. Input the restore decode rejects is reported as a
+/// divergence too (a golden state that no longer parses *is* a
+/// divergence).
 pub fn snapshot_divergence(golden: &[u8], fresh: &[u8]) -> Option<String> {
     if golden == fresh {
         return None;
@@ -68,243 +72,6 @@ pub fn snapshot_divergence(golden: &[u8], fresh: &[u8]) -> Option<String> {
         ));
     }
     Some("snapshots differ in bytes but not in any decoded field".to_string())
-}
-
-/// Decodes an `RSNP` snapshot into a flat `(name, value)` field list —
-/// the same layout [`RegionRuntime::capture_snapshot`] writes (DESIGN
-/// §14). Heap pages and descriptor names are folded to one digest value
-/// per item so the list stays proportional to the *structure*, not the
-/// heap size.
-///
-/// [`RegionRuntime::capture_snapshot`]: region_core::RegionRuntime::capture_snapshot
-fn snapshot_fields(bytes: &[u8]) -> Result<Vec<(String, u64)>, region_core::SnapshotError> {
-    use region_core::{SnapReader, SNAPSHOT_MAGIC};
-
-    use crate::rng::{fold, FNV_OFFSET};
-
-    fn fnv(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(FNV_OFFSET, |h, &b| fold(h, u64::from(b)))
-    }
-
-    let mut r = SnapReader::new(bytes);
-    let mut out: Vec<(String, u64)> = Vec::new();
-    let push = |name: String, v: u64, out: &mut Vec<(String, u64)>| out.push((name, v));
-
-    let magic = r.raw(4)?;
-    push("magic".into(), fnv(magic), &mut out);
-    if magic != SNAPSHOT_MAGIC {
-        return Ok(out); // nothing after the magic is trustworthy
-    }
-    push("version".into(), u64::from(r.u32()?), &mut out);
-
-    r.section("heap");
-    push("heap.max_bytes".into(), r.u64()?, &mut out);
-    let sbrk = r.opt_u64()?;
-    push("heap.sbrk_fault_after".into(), sbrk.map_or(0, |v| v + 1), &mut out);
-    push("heap.loads".into(), r.u64()?, &mut out);
-    push("heap.stores".into(), r.u64()?, &mut out);
-    let n_pages = r.u32()?;
-    push("heap.pages".into(), u64::from(n_pages), &mut out);
-    for p in 0..n_pages {
-        let digest = match r.u8()? {
-            0 => 0,
-            1 => fnv(r.raw(simheap::PAGE_SIZE as usize)?),
-            _ => return Err(r.malformed()),
-        };
-        push(format!("heap.page[{p}]"), digest, &mut out);
-    }
-
-    r.section("config");
-    for name in ["config.mode", "config.stagger", "config.clear_on_alloc"] {
-        push(name.into(), u64::from(r.u8()?), &mut out);
-    }
-    push("config.stack_pages".into(), u64::from(r.u32()?), &mut out);
-    push("config.heap.max_bytes".into(), r.u64()?, &mut out);
-    let sbrk = r.opt_u64()?;
-    push("config.heap.sbrk_fault_after".into(), sbrk.map_or(0, |v| v + 1), &mut out);
-
-    r.section("descriptors");
-    let n_descs = r.u32()?;
-    push("descriptors".into(), u64::from(n_descs), &mut out);
-    for d in 0..n_descs {
-        push(format!("desc[{d}].name"), fnv(r.bytes()?), &mut out);
-        push(format!("desc[{d}].size"), u64::from(r.u32()?), &mut out);
-        let n_offs = r.u32()?;
-        push(format!("desc[{d}].ptr_offsets"), u64::from(n_offs), &mut out);
-        for o in 0..n_offs {
-            push(format!("desc[{d}].ptr_offset[{o}]"), u64::from(r.u32()?), &mut out);
-        }
-    }
-
-    r.section("regions");
-    let n_regions = r.u32()?;
-    push("regions".into(), u64::from(n_regions), &mut out);
-    for i in 0..n_regions {
-        push(format!("region[{i}].rc"), r.i64()? as u64, &mut out);
-        let live = r.u8()?;
-        push(format!("region[{i}].live"), u64::from(live), &mut out);
-        if live == 2 {
-            // Parked mid-deletion: the phase payload comes next.
-            let phase = r.u8()?;
-            push(format!("region[{i}].phase"), u64::from(phase), &mut out);
-            match phase {
-                0 => {
-                    push(format!("region[{i}].scan.attempt_frames"), r.u64()?, &mut out);
-                    push(format!("region[{i}].scan.attempt_slots"), r.u64()?, &mut out);
-                }
-                1 => {
-                    let n = r.u32()?;
-                    push(format!("region[{i}].cleanup.marks"), u64::from(n), &mut out);
-                    for j in 0..n {
-                        for part in ["page", "start", "cursor"] {
-                            let v = u64::from(r.u32()?);
-                            push(format!("region[{i}].cleanup.mark[{j}].{part}"), v, &mut out);
-                        }
-                    }
-                }
-                2 => {
-                    let n = r.u32()?;
-                    push(format!("region[{i}].return.pages"), u64::from(n), &mut out);
-                    for j in 0..n {
-                        let v = u64::from(r.u32()?);
-                        push(format!("region[{i}].return.page[{j}]"), v, &mut out);
-                    }
-                }
-                _ => return Err(r.malformed()),
-            }
-        }
-        for bump in ["normal", "string"] {
-            let n = r.u32()?;
-            push(format!("region[{i}].{bump}.pages"), u64::from(n), &mut out);
-            for j in 0..n {
-                push(format!("region[{i}].{bump}.page[{j}].addr"), u64::from(r.u32()?), &mut out);
-                push(format!("region[{i}].{bump}.page[{j}].start"), u64::from(r.u32()?), &mut out);
-            }
-            push(format!("region[{i}].{bump}.alloc_from"), u64::from(r.u32()?), &mut out);
-        }
-        push(format!("region[{i}].bytes"), r.u64()?, &mut out);
-        push(format!("region[{i}].allocs"), r.u64()?, &mut out);
-    }
-
-    r.section("page-pool");
-    let n_free = r.u32()?;
-    push("free_pages".into(), u64::from(n_free), &mut out);
-    for i in 0..n_free {
-        push(format!("free_page[{i}]"), u64::from(r.u32()?), &mut out);
-    }
-    r.section("page-map");
-    let n_root = r.u32()?;
-    push("map_root".into(), u64::from(n_root), &mut out);
-    for i in 0..n_root {
-        let c = r.opt_u32()?;
-        push(format!("map_root[{i}]"), c.map_or(0, |v| u64::from(v) + 1), &mut out);
-    }
-    let n_mirror = r.u32()?;
-    push("mirror".into(), u64::from(n_mirror), &mut out);
-    for i in 0..n_mirror {
-        push(format!("mirror[{i}]"), u64::from(r.u32()?), &mut out);
-    }
-
-    r.section("stats");
-    for name in [
-        "stats.total_allocs",
-        "stats.total_bytes",
-        "stats.live_bytes",
-        "stats.max_live_bytes",
-        "stats.total_regions",
-        "stats.live_regions",
-        "stats.max_live_regions",
-        "stats.max_region_bytes",
-    ] {
-        push(name.into(), r.u64()?, &mut out);
-    }
-    r.section("costs");
-    for name in [
-        "costs.barriers_global",
-        "costs.barriers_region",
-        "costs.barriers_unknown",
-        "costs.barriers_elided",
-        "costs.barrier_instrs",
-        "costs.frames_scanned",
-        "costs.slots_scanned",
-        "costs.frames_unscanned",
-        "costs.slots_unscanned",
-        "costs.scan_instrs",
-        "costs.cleanup_objects",
-        "costs.cleanup_ptrs",
-        "costs.cleanup_pages",
-        "costs.cleanup_instrs",
-        "costs.deletes",
-        "costs.deletes_failed",
-    ] {
-        push(name.into(), r.u64()?, &mut out);
-    }
-
-    r.section("stack");
-    push("stack.base".into(), u64::from(r.u32()?), &mut out);
-    push("stack.slots".into(), u64::from(r.u32()?), &mut out);
-    let n_frames = r.u32()?;
-    push("stack.frames".into(), u64::from(n_frames), &mut out);
-    for i in 0..n_frames {
-        push(format!("stack.frame[{i}].base_slot"), u64::from(r.u32()?), &mut out);
-        push(format!("stack.frame[{i}].n_slots"), u64::from(r.u32()?), &mut out);
-    }
-    push("stack.top_slot".into(), u64::from(r.u32()?), &mut out);
-    push("stack.hwm".into(), r.u64()?, &mut out);
-
-    r.section("footprint");
-    for name in ["footprint.data_pages", "footprint.map_pages", "footprint.globals_pages"] {
-        push(name.into(), r.u64()?, &mut out);
-    }
-
-    r.section("fault-plan");
-    let n_fail = r.u32()?;
-    push("faults.fail_pages".into(), u64::from(n_fail), &mut out);
-    for i in 0..n_fail {
-        push(format!("faults.fail_page[{i}]"), r.u64()?, &mut out);
-    }
-    for name in ["faults.every_mth_alloc", "faults.alloc_one_in", "faults.sbrk_after"] {
-        let v = r.opt_u64()?;
-        push(name.into(), v.map_or(0, |v| v.wrapping_add(1)), &mut out);
-    }
-    for name in ["faults.rng", "faults.pages_seen", "faults.allocs_seen", "faults.injected"] {
-        push(name.into(), r.u64()?, &mut out);
-    }
-
-    r.section("violations");
-    let n_viol = r.u32()?;
-    push("violations".into(), u64::from(n_viol), &mut out);
-    for i in 0..n_viol {
-        let tag = r.u8()?;
-        push(format!("violation[{i}].tag"), u64::from(tag), &mut out);
-        match tag {
-            0 | 1 => push(format!("violation[{i}].region"), u64::from(r.u32()?), &mut out),
-            2 => {
-                push(format!("violation[{i}].region"), u64::from(r.u32()?), &mut out);
-                push(format!("violation[{i}].rc"), r.i64()? as u64, &mut out);
-            }
-            3 => {
-                for side in ["loc", "value"] {
-                    let v = r.opt_u32()?;
-                    push(
-                        format!("violation[{i}].{side}_region"),
-                        v.map_or(0, |v| u64::from(v) + 1),
-                        &mut out,
-                    );
-                }
-            }
-            _ => return Err(r.malformed()),
-        }
-    }
-
-    r.section("globals");
-    let n_globals = r.u32()?;
-    push("global_ptr_locs".into(), u64::from(n_globals), &mut out);
-    for i in 0..n_globals {
-        push(format!("global_ptr_loc[{i}]"), u64::from(r.u32()?), &mut out);
-    }
-    r.finish()?;
-    Ok(out)
 }
 
 /// Classic O(n·m) LCS length with a rolling row.
@@ -466,6 +233,70 @@ mod tests {
             msg,
             format!("first divergence: {mark}.cursor — golden {cursor}, fresh {}", cursor + 4)
         );
+    }
+
+    /// A runtime parked mid-cleanup: budget 1 releases one object per
+    /// step, so the region table carries a cleanup mark.
+    fn parked_snapshot() -> Vec<u8> {
+        let mut rt = RegionRuntime::new_safe();
+        let d = rt.register_type(TypeDescriptor::new("list", 8, vec![4]));
+        let (r1, r2) = (rt.new_region(), rt.new_region());
+        for _ in 0..6 {
+            let a = rt.ralloc(r1, d);
+            let b = rt.ralloc(r2, d);
+            rt.store_ptr_region(a + 4, b);
+        }
+        rt.set_delete_budget(1);
+        for _ in 0..3 {
+            rt.try_delete_region_step(r1).expect("a step");
+        }
+        assert!(rt.is_parked(r1));
+        rt.capture_snapshot()
+    }
+
+    /// The offsets [`every_flipped_byte_is_rejected_or_named`] flips:
+    /// every byte outside the raw heap-page bodies, plus the first byte
+    /// of each body. A body is logged as one digest of all its bytes, so
+    /// one byte stands for the page and keeps the sweep fast in a debug
+    /// build. Bodies are found by the heap section's layout (DESIGN §14):
+    /// a 37-byte header while `sbrk_fault_after` is `None`, then per page
+    /// a tag byte, followed by the page's bytes when the tag is 1.
+    fn sweep_offsets(snap: &[u8]) -> Vec<usize> {
+        let fields = snapshot_fields(snap).expect("a real snapshot decodes");
+        assert!(fields.contains(&("heap.sbrk_fault_after".to_string(), 0)));
+        let mut bodies = Vec::new();
+        let mut at = 37;
+        for (_, tag) in fields.iter().filter(|(n, _)| n.starts_with("heap.page[") && n.ends_with(".tag")) {
+            at += 1;
+            if *tag == 1 {
+                bodies.push(at + 1..at + simheap::PAGE_SIZE as usize);
+                at += simheap::PAGE_SIZE as usize;
+            }
+        }
+        (0..snap.len()).filter(|i| !bodies.iter().any(|b| b.contains(i))).collect()
+    }
+
+    #[test]
+    fn every_flipped_byte_is_rejected_or_named() {
+        // The field log covers every byte the decode consumes, so no
+        // single-byte change can hide between two decoded fields. Flipping
+        // the low bit too keeps flag and tag bytes decodable (0 <-> 1).
+        for golden in [busy_snapshot(), parked_snapshot()] {
+            let flips = sweep_offsets(&golden).into_iter().flat_map(|at| [(at, 0xFF), (at, 1)]);
+            for (at, mask) in flips {
+                let mut fresh = golden.clone();
+                fresh[at] ^= mask;
+                let msg = snapshot_divergence(&golden, &fresh).expect("a flipped byte diverges");
+                let named = ["first divergence: ", "structure diverges", "snapshots share"]
+                    .iter()
+                    .any(|p| msg.starts_with(p));
+                assert!(
+                    named || msg.starts_with("fresh snapshot does not decode"),
+                    "byte {at} of {} ^ {mask:#x}: {msg}",
+                    golden.len()
+                );
+            }
+        }
     }
 
     #[test]

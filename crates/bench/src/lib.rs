@@ -30,9 +30,8 @@ pub mod supervise;
 
 pub use diff::changed_lines;
 pub use runner::{
-    bench_workers, host_cores, measure_malloc, measure_region, measure_region_slow, results_json,
-    run_matrix, run_matrix_checked, run_matrix_with, scale_from_env, write_results_json, Job,
-    Measurement, RESULTS_SCHEMA_VERSION,
+    bench_workers, host_cores, measure_region, results_json, run_matrix, run_matrix_checked,
+    run_matrix_with, scale_from_env, write_results_json, Job, Measurement, RESULTS_SCHEMA_VERSION,
 };
 pub use server::{
     install_service_panic_filter, run_service, Ledger, ServiceConfig, ServiceReport,

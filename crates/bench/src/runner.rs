@@ -93,56 +93,6 @@ impl Measurement {
     }
 }
 
-/// Runs the malloc/free variant of a workload under one allocator.
-/// `traced` attaches the cache simulator (slower; for Figure 10).
-pub fn measure_malloc(w: Workload, kind: MallocKind, scale: u32, traced: bool) -> Measurement {
-    measure_malloc_on(w, kind, scale, traced, SimHeap::new()).0
-}
-
-/// [`measure_malloc`] on a recycled heap, returning the (reset-ready) heap
-/// for the next run. The environment resets the heap before use, so the
-/// measurement is bit-identical to a fresh-heap run.
-pub fn measure_malloc_on(
-    w: Workload,
-    kind: MallocKind,
-    scale: u32,
-    traced: bool,
-    heap: SimHeap,
-) -> (Measurement, SimHeap) {
-    let mut env = MallocEnv::on_heap(kind, heap);
-    if traced {
-        env.heap().attach_sink(Box::new(MemorySystem::default()));
-    }
-    let t = Instant::now();
-    let checksum = w.run_malloc(&mut env, scale);
-    // Read before `total`: the memory clock's bound then falls inside it.
-    let (mem, mem_estimate_ns) = (env.mem_time(), env.mem_estimate_ns());
-    let total = t.elapsed();
-    let os_pages = env.os_pages();
-    let stats = *env.stats();
-    let mut heap = env.into_heap();
-    let cache = if traced {
-        let sink = heap.detach_sink().expect("sink attached");
-        Some(MemorySystem::from_sink(sink).stats())
-    } else {
-        None
-    };
-    let m = Measurement {
-        workload: w.name(),
-        allocator: kind.name(),
-        total,
-        mem,
-        mem_estimate_ns: Some(mem_estimate_ns),
-        os_pages,
-        stats,
-        inner_stats: None,
-        costs: None,
-        cache,
-        checksum,
-    };
-    (m, heap)
-}
-
 /// Runs the region variant of a workload under one region backend.
 pub fn measure_region(w: Workload, kind: RegionKind, scale: u32, traced: bool) -> Measurement {
     measure_region_on(w, kind, scale, traced, SimHeap::new()).0
@@ -155,7 +105,8 @@ pub fn measure_region_elide(w: Workload, kind: RegionKind, scale: u32, elide: bo
     run_region_fn(w.name(), kind, false, elide, SimHeap::new(), |env| w.run_region(env, scale)).0
 }
 
-/// [`measure_region`] on a recycled heap (see [`measure_malloc_on`]).
+/// [`measure_region`] on a recycled heap, returning the (reset-ready)
+/// heap for the next run (see [`Job::run_warm`]).
 pub fn measure_region_on(
     w: Workload,
     kind: RegionKind,
@@ -164,26 +115,6 @@ pub fn measure_region_on(
     heap: SimHeap,
 ) -> (Measurement, SimHeap) {
     run_region_fn(w.name(), kind, traced, false, heap, |env| w.run_region(env, scale))
-}
-
-/// Runs moss's "slow" (single-region, interleaved) layout — the extra
-/// bar of Figures 9 and 10.
-pub fn measure_region_slow(kind: RegionKind, scale: u32, traced: bool) -> Measurement {
-    measure_region_slow_on(kind, scale, traced, SimHeap::new()).0
-}
-
-/// [`measure_region_slow`] on a recycled heap (see [`measure_malloc_on`]).
-pub fn measure_region_slow_on(
-    kind: RegionKind,
-    scale: u32,
-    traced: bool,
-    heap: SimHeap,
-) -> (Measurement, SimHeap) {
-    let (mut m, heap) = run_region_fn("moss", kind, traced, false, heap, |env| {
-        workloads::moss::run_region_slow(env, scale)
-    });
-    m.allocator = "Slow";
-    (m, heap)
 }
 
 fn run_region_fn(
@@ -217,12 +148,6 @@ fn run_region_fn(
         }
     }
     let mut heap = env.into_heap();
-    let cache = if traced {
-        let sink = heap.detach_sink().expect("sink attached");
-        Some(MemorySystem::from_sink(sink).stats())
-    } else {
-        None
-    };
     let m = Measurement {
         workload: name,
         allocator: kind.name(),
@@ -233,10 +158,15 @@ fn run_region_fn(
         stats,
         inner_stats,
         costs,
-        cache,
+        cache: detach_cache(&mut heap, traced),
         checksum,
     };
     (m, heap)
+}
+
+/// The cache simulator's counters of a traced run, detached from `heap`.
+fn detach_cache(heap: &mut SimHeap, traced: bool) -> Option<MemStats> {
+    traced.then(|| MemorySystem::from_sink(heap.detach_sink().expect("sink attached")).stats())
 }
 
 // ----------------------------------------------------------------------
@@ -267,9 +197,41 @@ impl Job {
     /// memory is reused.
     pub fn run_warm(self, heap: SimHeap, scale: u32, traced: bool) -> (Measurement, SimHeap) {
         match self {
-            Job::Malloc(w, kind) => measure_malloc_on(w, kind, scale, traced, heap),
+            Job::Malloc(w, kind) => {
+                let mut env = MallocEnv::on_heap(kind, heap);
+                if traced {
+                    env.heap().attach_sink(Box::new(MemorySystem::default()));
+                }
+                let t = Instant::now();
+                let checksum = w.run_malloc(&mut env, scale);
+                // Read before `total`: the memory clock's bound then falls inside it.
+                let (mem, mem_estimate_ns) = (env.mem_time(), env.mem_estimate_ns());
+                let total = t.elapsed();
+                let (os_pages, stats) = (env.os_pages(), *env.stats());
+                let mut heap = env.into_heap();
+                let m = Measurement {
+                    workload: w.name(),
+                    allocator: kind.name(),
+                    total,
+                    mem,
+                    mem_estimate_ns: Some(mem_estimate_ns),
+                    os_pages,
+                    stats,
+                    inner_stats: None,
+                    costs: None,
+                    cache: detach_cache(&mut heap, traced),
+                    checksum,
+                };
+                (m, heap)
+            }
             Job::Region(w, kind) => measure_region_on(w, kind, scale, traced, heap),
-            Job::MossSlow(kind) => measure_region_slow_on(kind, scale, traced, heap),
+            Job::MossSlow(kind) => {
+                let (mut m, heap) = run_region_fn("moss", kind, traced, false, heap, |env| {
+                    workloads::moss::run_region_slow(env, scale)
+                });
+                m.allocator = "Slow";
+                (m, heap)
+            }
         }
     }
 }
@@ -562,7 +524,7 @@ mod tests {
 
     #[test]
     fn malloc_and_region_measurements_agree_on_checksum() {
-        let a = measure_malloc(Workload::Tile, MallocKind::Lea, 1, false);
+        let a = Job::Malloc(Workload::Tile, MallocKind::Lea).run(1, false);
         let b = measure_region(Workload::Tile, RegionKind::Safe, 1, false);
         assert_eq!(a.checksum, b.checksum);
         assert!(a.total >= a.mem);
@@ -896,7 +858,7 @@ mod tests {
 
     #[test]
     fn slow_moss_is_measured_separately() {
-        let m = measure_region_slow(RegionKind::Unsafe, 1, false);
+        let m = Job::MossSlow(RegionKind::Unsafe).run(1, false);
         assert_eq!(m.allocator, "Slow");
         let normal = measure_region(Workload::Moss, RegionKind::Unsafe, 1, false);
         assert_eq!(m.checksum, normal.checksum, "layouts must not change the answer");

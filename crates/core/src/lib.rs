@@ -82,7 +82,10 @@ pub use fault::{FaultPlan, FaultSite};
 pub use pressure::{Admission, AdmissionController, Watermarks};
 pub use runtime::{DeleteProgress, RegionConfig, RegionId, RegionRuntime, SafetyMode};
 pub use sanitize::{MirrorMismatch, RcMismatch, RcViolation, SanitizeReport};
-pub use snapshot::{SnapReader, SnapWriter, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{
+    snapshot_fields, FieldName, SnapReader, SnapWriter, SnapshotError, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+};
 pub use stats::AllocStats;
 pub use world::{
     capture_world, restore_world, world_mirror_mismatches, RestoredWorld, WORLD_SNAPSHOT_VERSION,

@@ -762,27 +762,6 @@ impl<H: HeapBackend> RegionRuntime<H> {
         self.map_mirror.entries()
     }
 
-    /// Verifies that the host mirror agrees with the authoritative in-heap
-    /// page map on every entry of every mapped chunk; for tests. Returns
-    /// the number of entries compared.
-    pub fn check_page_map_mirror(&self) -> u64 {
-        let mut compared = 0;
-        for (root, chunk) in self.map_root.iter().enumerate() {
-            let Some(chunk) = *chunk else { continue };
-            for slot in 0..CHUNK_COVER {
-                let in_heap = self.heap.peek_u32(chunk + slot * WORD);
-                let page_index = root as u32 * CHUNK_COVER + slot;
-                let mirrored = self.map_mirror.get(page_index);
-                assert_eq!(
-                    in_heap, mirrored,
-                    "page-map mirror out of sync for page {page_index}"
-                );
-                compared += 1;
-            }
-        }
-        compared
-    }
-
     // ------------------------------------------------------------------
     // Region creation and allocation
     // ------------------------------------------------------------------
@@ -1901,39 +1880,43 @@ impl<H: HeapBackend> RegionRuntime<H> {
             |p: u32| p >= floor && p % PAGE_SIZE == 0 && u64::from(p) + u64::from(PAGE_SIZE) <= u64::from(brk);
         // -- region config --
         r.section("config");
-        let mode = match r.u8()? {
+        let mode = match r.u8("config.mode")? {
             0 => SafetyMode::Safe,
             1 => SafetyMode::Unsafe,
             _ => return Err(r.malformed()),
         };
-        let stagger = decode_bool(r)?;
-        let clear_on_alloc = decode_bool(r)?;
-        let stack_pages = r.u32()?;
+        let stagger = decode_bool(r, "config.stagger")?;
+        let clear_on_alloc = decode_bool(r, "config.clear_on_alloc")?;
+        let stack_pages = r.u32("config.stack_pages")?;
         let config = RegionConfig {
             mode,
             stagger,
             clear_on_alloc,
             stack_pages,
-            heap: HeapConfig { max_bytes: r.u64()?, sbrk_fault_after: r.opt_u64()? },
+            heap: HeapConfig {
+                max_bytes: r.u64("config.heap.max_bytes")?,
+                sbrk_fault_after: r.opt_u64("config.heap.sbrk_fault_after")?,
+            },
         };
         // -- descriptors --
         r.section("descriptors");
-        let n_descs = r.u32()?;
+        let n_descs = r.u32("descriptors")?;
         if n_descs >= (1 << 30) {
             return Err(r.malformed());
         }
         let mut descs = DescriptorTable::new();
-        for _ in 0..n_descs {
-            let name = std::str::from_utf8(r.bytes()?).map_err(|_| r.malformed())?.to_string();
-            let size = r.u32()?;
+        for d in 0..n_descs {
+            let name = r.bytes(|| format!("desc[{d}].name"))?;
+            let name = std::str::from_utf8(name).map_err(|_| r.malformed())?.to_string();
+            let size = r.u32(|| format!("desc[{d}].size"))?;
             if size == 0 {
                 return Err(r.malformed());
             }
-            let n_offs = r.u32()?;
+            let n_offs = r.u32(|| format!("desc[{d}].ptr_offsets"))?;
             let mut offs = Vec::new();
             let mut prev: Option<u32> = None;
-            for _ in 0..n_offs {
-                let off = r.u32()?;
+            for o in 0..n_offs {
+                let off = r.u32(|| format!("desc[{d}].ptr_offset[{o}]"))?;
                 let in_bounds = off % WORD == 0 && u64::from(off) + u64::from(WORD) <= u64::from(size);
                 if !in_bounds || prev.is_some_and(|p| off <= p) {
                     return Err(r.malformed());
@@ -1945,33 +1928,35 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         // -- regions --
         r.section("regions");
-        let n_regions = r.u32()?;
+        let n_regions = r.u32("regions")?;
         let mut regions = Vec::new();
-        for _ in 0..n_regions {
-            let rc = r.i64()?;
+        for i in 0..n_regions {
+            let at = |field: &str| format!("region[{i}].{field}");
+            let rc = r.i64(|| at("rc"))?;
             // Liveness byte 2 = parked mid-deletion; its phase payload
             // precedes the bump allocators in the stream, so decode it
             // first and translate it to page indices once the page
             // lists are known.
             let (mut marks, mut queue) = (Vec::new(), Vec::new());
-            let mut liveness = match r.u8()? {
+            let mut liveness = match r.u8(|| at("live"))? {
                 0 => Liveness::Dead,
                 1 => Liveness::Live,
                 2 => {
-                    let phase = match r.u8()? {
+                    let phase = match r.u8(|| at("phase"))? {
                         0 => DeletePhase::ScanStack {
-                            attempt_frames: r.u64()?,
-                            attempt_slots: r.u64()?,
+                            attempt_frames: r.u64(|| at("scan.attempt_frames"))?,
+                            attempt_slots: r.u64(|| at("scan.attempt_slots"))?,
                         },
                         1 => {
-                            let n = r.u32()?;
+                            let n = r.u32(|| at("cleanup.marks"))?;
                             if n >= (1 << 24) {
                                 return Err(r.malformed());
                             }
-                            for _ in 0..n {
-                                let p = r.u32()?;
-                                let start = r.u32()?;
-                                let cursor = r.u32()?;
+                            for j in 0..n {
+                                let mark = |part: &str| at(&format!("cleanup.mark[{j}].{part}"));
+                                let p = r.u32(|| mark("page"))?;
+                                let start = r.u32(|| mark("start"))?;
+                                let cursor = r.u32(|| mark("cursor"))?;
                                 let in_page = start <= cursor
                                     && cursor <= PAGE_SIZE
                                     && start % WORD == 0
@@ -1984,12 +1969,12 @@ impl<H: HeapBackend> RegionRuntime<H> {
                             DeletePhase::Cleanup { page: 0, cursor: 0 }
                         }
                         2 => {
-                            let n = r.u32()?;
+                            let n = r.u32(|| at("return.pages"))?;
                             if n >= (1 << 24) {
                                 return Err(r.malformed());
                             }
-                            for _ in 0..n {
-                                let p = r.u32()?;
+                            for j in 0..n {
+                                let p = r.u32(|| at(&format!("return.page[{j}]")))?;
                                 if !page_ok(p) {
                                     return Err(r.malformed());
                                 }
@@ -2004,24 +1989,25 @@ impl<H: HeapBackend> RegionRuntime<H> {
                 _ => return Err(r.malformed()),
             };
             let mut bumps = [BumpState::default(), BumpState::default()];
-            for b in &mut bumps {
-                let n = r.u32()?;
-                for _ in 0..n {
-                    let p = r.u32()?;
-                    let off = r.u32()?;
+            for (b, bump) in bumps.iter_mut().zip(["normal", "string"]) {
+                let n = r.u32(|| at(&format!("{bump}.pages")))?;
+                for j in 0..n {
+                    let page = |part: &str| at(&format!("{bump}.page[{j}].{part}"));
+                    let p = r.u32(|| page("addr"))?;
+                    let off = r.u32(|| page("start"))?;
                     if !page_ok(p) || off > PAGE_SIZE || off % WORD != 0 {
                         return Err(r.malformed());
                     }
                     b.pages.push((Addr::new(p), off));
                 }
-                b.alloc_from = r.u32()?;
+                b.alloc_from = r.u32(|| at(&format!("{bump}.alloc_from")))?;
                 if b.alloc_from > PAGE_SIZE {
                     return Err(r.malformed());
                 }
             }
             let [mut normal, string] = bumps;
-            let bytes = r.u64()?;
-            let allocs = r.u64()?;
+            let bytes = r.u64(|| at("bytes"))?;
+            let allocs = r.u64(|| at("allocs"))?;
             let listed = !normal.pages.is_empty() || !string.pages.is_empty();
             match &mut liveness {
                 // A deleted region's pages are all back in the pool.
@@ -2072,20 +2058,20 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         // -- page pool and page map --
         r.section("page-pool");
-        let n_free = r.u32()?;
+        let n_free = r.u32("free_pages")?;
         let mut free_pages = Vec::new();
-        for _ in 0..n_free {
-            let p = r.u32()?;
+        for i in 0..n_free {
+            let p = r.u32(|| format!("free_page[{i}]"))?;
             if !page_ok(p) {
                 return Err(r.malformed());
             }
             free_pages.push(Addr::new(p));
         }
         r.section("page-map");
-        let n_root = r.u32()?;
+        let n_root = r.u32("map_root")?;
         let mut map_root = Vec::new();
-        for _ in 0..n_root {
-            let c = r.opt_u32()?;
+        for i in 0..n_root {
+            let c = r.opt_u32(|| format!("map_root[{i}]"))?;
             if let Some(c) = c {
                 if !page_ok(c) {
                     return Err(r.malformed());
@@ -2093,10 +2079,10 @@ impl<H: HeapBackend> RegionRuntime<H> {
             }
             map_root.push(c.map(Addr::new));
         }
-        let n_mirror = r.u32()?;
+        let n_mirror = r.u32("mirror")?;
         let mut map_mirror = Vec::new();
-        for _ in 0..n_mirror {
-            let m = r.u32()?;
+        for i in 0..n_mirror {
+            let m = r.u32(|| format!("mirror[{i}]"))?;
             // `owner + 1` encoding: a nonzero entry must name a region.
             if m != 0 && u64::from(m) > u64::from(n_regions) {
                 return Err(r.malformed());
@@ -2128,94 +2114,103 @@ impl<H: HeapBackend> RegionRuntime<H> {
         // -- stats and costs --
         r.section("stats");
         let stats = AllocStats {
-            total_allocs: r.u64()?,
-            total_bytes: r.u64()?,
-            live_bytes: r.u64()?,
-            max_live_bytes: r.u64()?,
-            total_regions: r.u64()?,
-            live_regions: r.u64()?,
-            max_live_regions: r.u64()?,
-            max_region_bytes: r.u64()?,
+            total_allocs: r.u64("stats.total_allocs")?,
+            total_bytes: r.u64("stats.total_bytes")?,
+            live_bytes: r.u64("stats.live_bytes")?,
+            max_live_bytes: r.u64("stats.max_live_bytes")?,
+            total_regions: r.u64("stats.total_regions")?,
+            live_regions: r.u64("stats.live_regions")?,
+            max_live_regions: r.u64("stats.max_live_regions")?,
+            max_region_bytes: r.u64("stats.max_region_bytes")?,
         };
         r.section("costs");
         let costs = SafetyCosts {
-            barriers_global: r.u64()?,
-            barriers_region: r.u64()?,
-            barriers_unknown: r.u64()?,
-            barriers_elided: r.u64()?,
-            barrier_instrs: r.u64()?,
-            frames_scanned: r.u64()?,
-            slots_scanned: r.u64()?,
-            frames_unscanned: r.u64()?,
-            slots_unscanned: r.u64()?,
-            scan_instrs: r.u64()?,
-            cleanup_objects: r.u64()?,
-            cleanup_ptrs: r.u64()?,
-            cleanup_pages: r.u64()?,
-            cleanup_instrs: r.u64()?,
-            deletes: r.u64()?,
-            deletes_failed: r.u64()?,
+            barriers_global: r.u64("costs.barriers_global")?,
+            barriers_region: r.u64("costs.barriers_region")?,
+            barriers_unknown: r.u64("costs.barriers_unknown")?,
+            barriers_elided: r.u64("costs.barriers_elided")?,
+            barrier_instrs: r.u64("costs.barrier_instrs")?,
+            frames_scanned: r.u64("costs.frames_scanned")?,
+            slots_scanned: r.u64("costs.slots_scanned")?,
+            frames_unscanned: r.u64("costs.frames_unscanned")?,
+            slots_unscanned: r.u64("costs.slots_unscanned")?,
+            scan_instrs: r.u64("costs.scan_instrs")?,
+            cleanup_objects: r.u64("costs.cleanup_objects")?,
+            cleanup_ptrs: r.u64("costs.cleanup_ptrs")?,
+            cleanup_pages: r.u64("costs.cleanup_pages")?,
+            cleanup_instrs: r.u64("costs.cleanup_instrs")?,
+            deletes: r.u64("costs.deletes")?,
+            deletes_failed: r.u64("costs.deletes_failed")?,
         };
         // -- shadow stack --
         r.section("stack");
-        let stack_base = r.u32()?;
-        let stack_slots = r.u32()?;
+        let stack_base = r.u32("stack.base")?;
+        let stack_slots = r.u32("stack.slots")?;
         let stack_end = u64::from(stack_base) + u64::from(stack_slots) * u64::from(WORD);
         if stack_base < floor || stack_base % WORD != 0 || stack_end > u64::from(brk) {
             return Err(r.malformed());
         }
-        let n_frames = r.u32()?;
+        let n_frames = r.u32("stack.frames")?;
         let mut frames = Vec::new();
-        for _ in 0..n_frames {
-            let base_slot = r.u32()?;
-            let n_slots = r.u32()?;
+        for i in 0..n_frames {
+            let base_slot = r.u32(|| format!("stack.frame[{i}].base_slot"))?;
+            let n_slots = r.u32(|| format!("stack.frame[{i}].n_slots"))?;
             if u64::from(base_slot) + u64::from(n_slots) > u64::from(stack_slots) {
                 return Err(r.malformed());
             }
             frames.push(Frame { base_slot, n_slots });
         }
-        let top_slot = r.u32()?;
+        let top_slot = r.u32("stack.top_slot")?;
         if top_slot > stack_slots {
             return Err(r.malformed());
         }
-        let hwm = r.u64()? as usize;
+        let hwm = r.u64("stack.hwm")? as usize;
         if hwm > frames.len() {
             return Err(r.malformed());
         }
         // -- OS-footprint accounting --
         r.section("footprint");
-        let data_pages = r.u64()?;
-        let map_pages = r.u64()?;
-        let globals_pages = r.u64()?;
+        let data_pages = r.u64("footprint.data_pages")?;
+        let map_pages = r.u64("footprint.map_pages")?;
+        let globals_pages = r.u64("footprint.globals_pages")?;
         // -- fault plan --
         r.section("fault-plan");
-        let n_fail = r.u32()?;
+        let n_fail = r.u32("faults.fail_pages")?;
         let mut fail_pages = Vec::new();
-        for _ in 0..n_fail {
-            fail_pages.push(r.u64()?);
+        for i in 0..n_fail {
+            fail_pages.push(r.u64(|| format!("faults.fail_page[{i}]"))?);
         }
-        let mth = r.opt_u64()?;
-        let one_in = r.opt_u64()?;
+        let mth = r.opt_u64("faults.every_mth_alloc")?;
+        let one_in = r.opt_u64("faults.alloc_one_in")?;
         // Zero periods would divide by zero in `check_alloc`; the builders
         // reject them, so a snapshot containing one is corrupt.
         if mth == Some(0) || one_in == Some(0) {
             return Err(r.malformed());
         }
-        let sbrk = r.opt_u64()?;
-        let counters = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let sbrk = r.opt_u64("faults.sbrk_after")?;
+        let counters = [
+            r.u64("faults.rng")?,
+            r.u64("faults.pages_seen")?,
+            r.u64("faults.allocs_seen")?,
+            r.u64("faults.injected")?,
+        ];
         let faults = FaultPlan::from_raw_state(fail_pages, mth, one_in, sbrk, counters);
         // -- recorded violations --
         r.section("violations");
-        let n_viol = r.u32()?;
+        let n_viol = r.u32("violations")?;
         let mut violations = Vec::new();
-        for _ in 0..n_viol {
-            let v = match r.u8()? {
-                0 => RcViolation::IncOfDeleted { region: RegionId(r.u32()?) },
-                1 => RcViolation::DecOfDeleted { region: RegionId(r.u32()?) },
-                2 => RcViolation::NegativeRc { region: RegionId(r.u32()?), rc: r.i64()? },
+        for i in 0..n_viol {
+            let at = |field: &str| format!("violation[{i}].{field}");
+            let v = match r.u8(|| at("tag"))? {
+                0 => RcViolation::IncOfDeleted { region: RegionId(r.u32(|| at("region"))?) },
+                1 => RcViolation::DecOfDeleted { region: RegionId(r.u32(|| at("region"))?) },
+                2 => RcViolation::NegativeRc {
+                    region: RegionId(r.u32(|| at("region"))?),
+                    rc: r.i64(|| at("rc"))?,
+                },
                 3 => RcViolation::ElisionUnsound {
-                    loc_region: r.opt_u32()?.map(RegionId),
-                    value_region: r.opt_u32()?.map(RegionId),
+                    loc_region: r.opt_u32(|| at("loc_region"))?.map(RegionId),
+                    value_region: r.opt_u32(|| at("value_region"))?.map(RegionId),
                 },
                 _ => return Err(r.malformed()),
             };
@@ -2223,10 +2218,10 @@ impl<H: HeapBackend> RegionRuntime<H> {
         }
         // -- global pointer ledger --
         r.section("globals");
-        let n_globals = r.u32()?;
+        let n_globals = r.u32("global_ptr_locs")?;
         let mut global_ptr_locs = BTreeSet::new();
-        for _ in 0..n_globals {
-            let loc = r.u32()?;
+        for i in 0..n_globals {
+            let loc = r.u32(|| format!("global_ptr_loc[{i}]"))?;
             if loc % WORD != 0 || u64::from(loc) + u64::from(WORD) > u64::from(brk) {
                 return Err(r.malformed());
             }
@@ -2350,37 +2345,48 @@ impl RegionRuntime {
     /// The restored heap has no trace sink attached (callers re-attach
     /// after restore if they were tracing).
     pub fn restore_snapshot(bytes: &[u8]) -> Result<RegionRuntime, SnapshotError> {
-        let mut r = SnapReader::new(bytes);
-        if r.raw(4)? != SNAPSHOT_MAGIC {
+        RegionRuntime::decode_snapshot(&mut SnapReader::new(bytes))?.finish_restore()
+    }
+
+    /// Decodes a whole v1 snapshot — header, heap image, the body of
+    /// [`RegionRuntime::read_snapshot_body`], no trailing bytes — short
+    /// of the restore gates. [`RegionRuntime::restore_snapshot`] runs it
+    /// and then [`RegionRuntime::finish_restore`];
+    /// [`snapshot_fields`](crate::snapshot_fields) runs it with the
+    /// reader's field log on.
+    pub(crate) fn decode_snapshot(r: &mut SnapReader<'_>) -> Result<RegionRuntime, SnapshotError> {
+        if r.raw(4, "magic")? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u32()?;
+        let version = r.u32("version")?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { version });
         }
         // -- heap image --
         r.section("heap");
-        let heap_config =
-            HeapConfig { max_bytes: r.u64()?, sbrk_fault_after: r.opt_u64()? };
-        let loads = r.u64()?;
-        let stores = r.u64()?;
-        let n_pages = r.u32()?;
+        let heap_config = HeapConfig {
+            max_bytes: r.u64("heap.max_bytes")?,
+            sbrk_fault_after: r.opt_u64("heap.sbrk_fault_after")?,
+        };
+        let loads = r.u64("heap.loads")?;
+        let stores = r.u64("heap.stores")?;
+        let n_pages = r.u32("heap.pages")?;
         let psize = PAGE_SIZE as usize;
         if (u64::from(n_pages) + 1) * u64::from(PAGE_SIZE) > u64::from(u32::MAX) {
             return Err(r.malformed());
         }
         let mut body = Vec::new();
-        for _ in 0..n_pages {
-            match r.u8()? {
-                0 => body.resize(body.len() + psize, 0),
-                1 => body.extend_from_slice(r.raw(psize)?),
+        for p in 0..n_pages {
+            match r.u8(|| format!("heap.page[{p}].tag"))? {
+                0 => body.extend_from_slice(&[0; PAGE_SIZE as usize]),
+                1 => body.extend_from_slice(r.raw(psize, || format!("heap.page[{p}]"))?),
                 _ => return Err(r.malformed()),
             }
         }
         let heap = SimHeap::from_image(&HeapImage { config: heap_config, bytes: body, loads, stores });
-        let rt = RegionRuntime::read_snapshot_body(&mut r, heap, PAGE_SIZE)?;
+        let rt = RegionRuntime::read_snapshot_body(r, heap, PAGE_SIZE)?;
         r.finish()?;
-        rt.finish_restore()
+        Ok(rt)
     }
 }
 
@@ -2467,8 +2473,8 @@ impl<H: HeapBackend> RegionRuntime<H> {
 }
 
 /// Decodes a strict boolean byte (0/1; anything else is malformed).
-fn decode_bool(r: &mut SnapReader<'_>) -> Result<bool, SnapshotError> {
-    match r.u8()? {
+fn decode_bool(r: &mut SnapReader<'_>, name: &'static str) -> Result<bool, SnapshotError> {
+    match r.u8(name)? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(r.malformed()),
@@ -2861,11 +2867,12 @@ mod tests {
                 let victim = live.remove(0);
                 assert!(rt.delete_region(victim));
             }
-            assert!(rt.check_page_map_mirror() > 0);
+            let rep = rt.sanitize();
+            assert!(rep.mirror_mismatches.is_empty() && rep.mirror_entries_checked > 0);
         }
         for r in live {
             assert!(rt.delete_region(r));
-            rt.check_page_map_mirror();
+            assert!(rt.sanitize().mirror_mismatches.is_empty());
         }
     }
 
@@ -3308,37 +3315,37 @@ mod tests {
         // only the mandatory post-restore sanitize pass can catch it.
         let region_sec = {
             let mut r = SnapReader::new(&bytes);
-            r.raw(4).unwrap();
-            r.u32().unwrap(); // version
+            r.raw(4, "_").unwrap();
+            r.u32("_").unwrap(); // version
             // skip heap: config(u64+opt)+loads+stores+pages
-            r.u64().unwrap();
-            r.opt_u64().unwrap();
-            r.u64().unwrap();
-            r.u64().unwrap();
-            let n_pages = r.u32().unwrap();
+            r.u64("_").unwrap();
+            r.opt_u64("_").unwrap();
+            r.u64("_").unwrap();
+            r.u64("_").unwrap();
+            let n_pages = r.u32("_").unwrap();
             for _ in 0..n_pages {
-                if r.u8().unwrap() == 1 {
-                    r.raw(PAGE_SIZE as usize).unwrap();
+                if r.u8("_").unwrap() == 1 {
+                    r.raw(PAGE_SIZE as usize, "_").unwrap();
                 }
             }
             // skip config
-            r.u8().unwrap();
-            r.u8().unwrap();
-            r.u8().unwrap();
-            r.u32().unwrap();
-            r.u64().unwrap();
-            r.opt_u64().unwrap();
+            r.u8("_").unwrap();
+            r.u8("_").unwrap();
+            r.u8("_").unwrap();
+            r.u32("_").unwrap();
+            r.u64("_").unwrap();
+            r.opt_u64("_").unwrap();
             // skip descriptors
-            let n_descs = r.u32().unwrap();
+            let n_descs = r.u32("_").unwrap();
             for _ in 0..n_descs {
-                r.bytes().unwrap();
-                r.u32().unwrap();
-                let n = r.u32().unwrap();
+                r.bytes("_").unwrap();
+                r.u32("_").unwrap();
+                let n = r.u32("_").unwrap();
                 for _ in 0..n {
-                    r.u32().unwrap();
+                    r.u32("_").unwrap();
                 }
             }
-            r.u32().unwrap(); // region count
+            r.u32("_").unwrap(); // region count
             r.offset() // first region's rc starts here
         };
         let mut doctored = bytes.clone();

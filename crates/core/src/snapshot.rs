@@ -16,6 +16,11 @@
 //! harness feeds truncated and bit-flipped snapshots in by design) and the
 //! [`SnapWriter`] / [`SnapReader`] pair, a little-endian codec in the style
 //! of the golden-trace format whose every read is bounds-checked.
+//!
+//! The reader that restore runs is the only `RSNP` decoder. Each read
+//! names its field, and [`snapshot_fields`] runs restore's decode with
+//! the reader's field log on, so tools that name drifted fields (the
+//! golden end-state diff) read the format through restore's own code.
 
 use std::fmt;
 
@@ -189,23 +194,62 @@ impl SnapWriter {
     }
 }
 
+/// A field's name in a [`SnapReader`] log: a static name, or a closure
+/// that formats an indexed one (`region[3].rc`) only when a log is kept.
+pub trait FieldName {
+    /// The name as logged.
+    fn name(self) -> String;
+}
+
+impl FieldName for &str {
+    fn name(self) -> String {
+        self.to_string()
+    }
+}
+
+impl<F: FnOnce() -> String> FieldName for F {
+    fn name(self) -> String {
+        self()
+    }
+}
+
 /// Bounds-checked little-endian reader over snapshot bytes.
 ///
 /// Every read names the section being decoded (set with
 /// [`SnapReader::section`]) so a truncation error pins where the input
 /// ran out. No read panics: past-the-end access returns
 /// [`SnapshotError::Truncated`].
+///
+/// Every read also names its field. A reader made with
+/// [`SnapReader::logging`] records each field as `(name, value)` in
+/// stream order; [`snapshot_fields`] returns that log, so the golden
+/// end-state diff names fields from the very decode restore runs.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
     section: &'static str,
+    log: Option<Vec<(String, u64)>>,
 }
 
 impl<'a> SnapReader<'a> {
-    /// A reader positioned at the start of `buf`.
+    /// A reader positioned at the start of `buf`, keeping no field log.
     pub fn new(buf: &'a [u8]) -> SnapReader<'a> {
-        SnapReader { buf, pos: 0, section: "header" }
+        SnapReader { buf, pos: 0, section: "header", log: None }
+    }
+
+    /// A reader that logs every field it reads. Integers log their value
+    /// (an `i64` as its two's-complement bits), options log `value + 1`
+    /// with 0 for `None`, and `raw`/`bytes` reads log a digest of every
+    /// byte they consumed, length prefix included.
+    pub fn logging(buf: &'a [u8]) -> SnapReader<'a> {
+        SnapReader { log: Some(Vec::new()), ..SnapReader::new(buf) }
+    }
+
+    /// The field log, in stream order (empty for a reader made with
+    /// [`SnapReader::new`]).
+    pub fn into_log(self) -> Vec<(String, u64)> {
+        self.log.unwrap_or_default()
     }
 
     /// Names the section subsequent reads belong to (for error reporting).
@@ -235,56 +279,93 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    fn note(&mut self, name: impl FieldName, value: u64) {
+        if let Some(log) = &mut self.log {
+            log.push((name.name(), value));
+        }
+    }
+
+    /// Logs a digest of the bytes read since `start`.
+    fn note_digest(&mut self, name: impl FieldName, start: usize) {
+        if self.log.is_some() {
+            let digest = self.buf[start..self.pos]
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+            self.note(name, digest);
+        }
+    }
+
     /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    pub fn u8(&mut self, name: impl FieldName) -> Result<u8, SnapshotError> {
+        let [v] = self.array::<1>()?;
+        self.note(name, u64::from(v));
+        Ok(v)
     }
 
     /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    pub fn u32(&mut self, name: impl FieldName) -> Result<u32, SnapshotError> {
+        let v = u32::from_le_bytes(self.array()?);
+        self.note(name, u64::from(v));
+        Ok(v)
     }
 
     /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    pub fn u64(&mut self, name: impl FieldName) -> Result<u64, SnapshotError> {
+        let v = u64::from_le_bytes(self.array()?);
+        self.note(name, v);
+        Ok(v)
     }
 
     /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    pub fn i64(&mut self, name: impl FieldName) -> Result<i64, SnapshotError> {
+        let v = i64::from_le_bytes(self.array()?);
+        self.note(name, v as u64);
+        Ok(v)
     }
 
     /// Reads exactly `n` raw bytes.
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
+    pub fn raw(&mut self, n: usize, name: impl FieldName) -> Result<&'a [u8], SnapshotError> {
+        let start = self.pos;
+        let s = self.take(n)?;
+        self.note_digest(name, start);
+        Ok(s)
     }
 
     /// Reads a `u32` length prefix followed by that many bytes.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.u32()? as usize;
-        self.take(n)
+    pub fn bytes(&mut self, name: impl FieldName) -> Result<&'a [u8], SnapshotError> {
+        let start = self.pos;
+        let n = u32::from_le_bytes(self.array()?) as usize;
+        let s = self.take(n)?;
+        self.note_digest(name, start);
+        Ok(s)
     }
 
     /// Reads an option written by [`SnapWriter::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(self.malformed()),
-        }
+    pub fn opt_u64(&mut self, name: impl FieldName) -> Result<Option<u64>, SnapshotError> {
+        let v = match self.array::<1>()? {
+            [0] => None,
+            [1] => Some(u64::from_le_bytes(self.array()?)),
+            _ => return Err(self.malformed()),
+        };
+        self.note(name, v.map_or(0, |v| v.wrapping_add(1)));
+        Ok(v)
     }
 
     /// Reads an option written by [`SnapWriter::opt_u32`].
-    pub fn opt_u32(&mut self) -> Result<Option<u32>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(self.malformed()),
-        }
+    pub fn opt_u32(&mut self, name: impl FieldName) -> Result<Option<u32>, SnapshotError> {
+        let v = match self.array::<1>()? {
+            [0] => None,
+            [1] => Some(u32::from_le_bytes(self.array()?)),
+            _ => return Err(self.malformed()),
+        };
+        self.note(name, v.map_or(0, |v| u64::from(v) + 1));
+        Ok(v)
     }
 
     /// Asserts the input is fully consumed; trailing bytes are rejected.
@@ -295,6 +376,19 @@ impl<'a> SnapReader<'a> {
         }
         Ok(())
     }
+}
+
+/// Decodes `RSNP` v1 bytes with the decode
+/// [`RegionRuntime::restore_snapshot`](crate::RegionRuntime::restore_snapshot)
+/// runs and returns every field it read as `(name, value)`, in stream
+/// order: `heap.page[12]`, `region[3].rc`, `costs.deletes`, `mirror[40]`.
+/// It stops short of restore's object re-walk and sanitize gates, so a
+/// snapshot whose books drifted still lists its fields. Input the
+/// decode rejects returns its [`SnapshotError`].
+pub fn snapshot_fields(bytes: &[u8]) -> Result<Vec<(String, u64)>, SnapshotError> {
+    let mut r = SnapReader::logging(bytes);
+    crate::RegionRuntime::decode_snapshot(&mut r)?;
+    Ok(r.into_log())
 }
 
 #[cfg(test)]
@@ -315,17 +409,23 @@ mod tests {
         w.opt_u32(Some(3));
         let bytes = w.into_bytes();
 
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.raw(4).unwrap(), &SNAPSHOT_MAGIC);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.bytes().unwrap(), b"hello");
-        assert_eq!(r.opt_u64().unwrap(), Some(99));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u32().unwrap(), Some(3));
+        let mut r = SnapReader::logging(&bytes);
+        assert_eq!(r.raw(4, "magic").unwrap(), &SNAPSHOT_MAGIC);
+        assert_eq!(r.u8("a").unwrap(), 7);
+        assert_eq!(r.u32("b").unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64("c").unwrap(), u64::MAX - 1);
+        assert_eq!(r.i64(|| format!("d[{}]", 0)).unwrap(), -42);
+        assert_eq!(r.bytes("e").unwrap(), b"hello");
+        assert_eq!(r.opt_u64("f").unwrap(), Some(99));
+        assert_eq!(r.opt_u64("g").unwrap(), None);
+        assert_eq!(r.opt_u32("h").unwrap(), Some(3));
         r.finish().unwrap();
+        let log = r.into_log();
+        let names: Vec<&str> = log.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["magic", "a", "b", "c", "d[0]", "e", "f", "g", "h"]);
+        let values: Vec<u64> = log[1..5].iter().chain(&log[6..]).map(|&(_, v)| v).collect();
+        assert_eq!(values, [7, 0xDEAD_BEEF, u64::MAX - 1, -42i64 as u64, 100, 0, 4]);
+        assert!(SnapReader::new(&bytes).into_log().is_empty());
     }
 
     #[test]
@@ -335,7 +435,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..5]);
         r.section("stats");
-        assert_eq!(r.u64(), Err(SnapshotError::Truncated { section: "stats" }));
+        assert_eq!(r.u64("x"), Err(SnapshotError::Truncated { section: "stats" }));
     }
 
     #[test]
@@ -345,7 +445,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         r.section("heap");
-        assert_eq!(r.bytes(), Err(SnapshotError::Truncated { section: "heap" }));
+        assert_eq!(r.bytes("x"), Err(SnapshotError::Truncated { section: "heap" }));
     }
 
     #[test]
@@ -353,7 +453,7 @@ mod tests {
         let mut r = SnapReader::new(&[9]);
         r.section("fault-plan");
         assert!(matches!(
-            r.opt_u64(),
+            r.opt_u64("x"),
             Err(SnapshotError::Malformed { section: "fault-plan", .. })
         ));
     }

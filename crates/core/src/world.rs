@@ -130,17 +130,17 @@ pub fn capture_world(space: &Arc<SharedSpace>, runtimes: &[&RegionRuntime<HeapSh
 /// maps.
 pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
     let mut r = SnapReader::new(bytes);
-    if r.raw(4)? != SNAPSHOT_MAGIC {
+    if r.raw(4, "magic")? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u32()?;
+    let version = r.u32("version")?;
     if version != WORLD_SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { version });
     }
     // -- space geometry --
     r.section("space");
-    let max_bytes = r.u64()?;
-    let workers = r.u32()?;
+    let max_bytes = r.u64("space.max_bytes")?;
+    let workers = r.u32("space.workers")?;
     if !(1..=255).contains(&workers) {
         return Err(r.malformed());
     }
@@ -151,7 +151,7 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
     let space = SharedSpace::new(SpaceConfig { max_bytes, workers });
     // -- global page table + ownership mirror --
     r.section("pages");
-    let slots = r.u32()?;
+    let slots = r.u32("pages")?;
     if slots != space.total_pages() {
         return Err(r.malformed());
     }
@@ -159,7 +159,7 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
     let psize = PAGE_SIZE as usize;
     let mut mapped = vec![false; slots as usize];
     for page in 0..slots {
-        let tag = r.u8()?;
+        let tag = r.u8("page.tag")?;
         if tag == 0 {
             continue;
         }
@@ -168,12 +168,12 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
             return Err(r.malformed());
         }
         let words: Option<Vec<u32>> = if tag == 1 {
-            let chunks = r.raw(psize)?.chunks_exact(4);
+            let chunks = r.raw(psize, "page")?.chunks_exact(4);
             Some(chunks.map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
         } else {
             None
         };
-        let mirror = r.u32()?;
+        let mirror = r.u32("page.mirror")?;
         match SharedSpace::decode_mirror(mirror) {
             Some((owner, _cell)) => {
                 let in_owner_span = owner < workers
@@ -200,7 +200,7 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
     r.section("shards");
     let mut runtimes = Vec::new();
     for w in 0..workers {
-        let allocated = r.u32()?;
+        let allocated = r.u32("shard.allocated")?;
         if allocated > span {
             return Err(r.malformed());
         }
@@ -213,9 +213,9 @@ pub fn restore_world(bytes: &[u8]) -> Result<RestoredWorld, SnapshotError> {
                 return Err(r.malformed());
             }
         }
-        let fault_after = r.opt_u64()?;
-        let loads = r.u64()?;
-        let stores = r.u64()?;
+        let fault_after = r.opt_u64("shard.sbrk_fault_after")?;
+        let loads = r.u64("shard.loads")?;
+        let stores = r.u64("shard.stores")?;
         let shard = space.adopt_shard(w, allocated, loads, stores, fault_after);
         let floor = base.checked_mul(PAGE_SIZE).ok_or_else(|| r.malformed())?;
         let rt = RegionRuntime::read_snapshot_body(&mut r, shard, floor)?;

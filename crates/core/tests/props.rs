@@ -272,7 +272,9 @@ proptest! {
                     probes.retain(|&(_, owner)| owner != r);
                 }
             }
-            prop_assert!(rt.check_page_map_mirror() > 0);
+            let rep = rt.sanitize();
+            prop_assert!(rep.mirror_mismatches.is_empty());
+            prop_assert!(rep.mirror_entries_checked > 0);
         }
         // Every live allocation's owner must still resolve through the
         // mirror-backed regionof.

@@ -227,8 +227,10 @@ fn drive<H: HeapBackend>(mut rt: RegionRuntime<H>, ops: &[Op]) -> Obs {
     obs.push(rt.heap().load_count());
     obs.push(rt.heap().store_count());
     obs.push(u64::from(rt.heap().brk().raw()));
-    obs.push(u64::from(rt.sanitize().is_clean()));
-    obs.push(rt.check_page_map_mirror());
+    let rep = rt.sanitize();
+    assert!(rep.mirror_mismatches.is_empty(), "page-map mirror out of sync: {rep}");
+    obs.push(u64::from(rep.is_clean()));
+    obs.push(rep.mirror_entries_checked);
     obs
 }
 

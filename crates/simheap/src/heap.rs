@@ -180,13 +180,6 @@ impl SimHeap {
         self.try_sbrk_pages(pages).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`SimHeap::sbrk`]: extends the heap by at least `bytes`
-    /// bytes (rounded up to whole pages).
-    pub fn try_sbrk(&mut self, bytes: u32) -> Result<Addr, HeapError> {
-        let pages = bytes.div_ceil(PAGE_SIZE).max(1);
-        self.try_sbrk_pages(pages)
-    }
-
     /// Extends the heap by at least `bytes` bytes (rounded up to whole
     /// pages) and returns the address of the first new byte.
     pub fn sbrk(&mut self, bytes: u32) -> Addr {
